@@ -25,7 +25,6 @@ from .inference_compare import (
     SD_AT_NULL,
     SD_AT_OBSERVED,
     compare_p_and_posterior,
-    gaussian_p_value,
 )
 from .likelihood import likelihood_curve, likelihood_sum
 from .posterior import (
@@ -240,7 +239,7 @@ def _cmd_compare(args):
     if args.sd_convention == SD_AT_OBSERVED:
         selected = report.p_value_gaussian
     else:
-        selected = gaussian_p_value(obs, args.null, args.direction, SD_AT_NULL)
+        selected = report.p_value_gaussian_at_null
     row = {
         "p_value_gaussian": selected,
         "p_value_gaussian_at_observed": report.p_value_gaussian,
@@ -526,6 +525,9 @@ def run(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 1
 
     if args.format == "csv":

@@ -5,8 +5,6 @@ own fixed-coefficient routines rather than platform ``libm`` wrappers, so
 that emitted numbers are bit-identical across operating systems and C
 libraries.  Two classic, published approximations are used:
 
-* ``log_gamma`` — Lanczos approximation with the widely used g = 7, n = 9
-  coefficient set (relative error below 1e-13 on the positive axis).
 * ``erfc`` / ``normal_cdf`` — Cody's rational Chebyshev approximations for
   the error function (three regimes, relative error near machine epsilon).
 * ``_binomial_log_pmf`` — Loader's saddle-point form of the binomial mass
@@ -24,64 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
-__all__ = ["log_gamma", "log_choose", "erfc", "normal_cdf"]
+__all__ = ["erfc", "normal_cdf"]
 
 _LOG_SQRT_TWO_PI = 0.9189385332046727417803297364056176  # log(sqrt(2*pi))
-
-# Lanczos coefficients for g = 7, n = 9.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Accepts a float or ndarray.  Raises for nonpositive arguments: every
-    caller in this package works with shifted integer counts (n + 1 and the
-    like), so the reflection branch is deliberately out of scope.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("log_gamma requires finite x > 0")
-    z = arr - 1.0
-    acc = np.full_like(z, _LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc = acc + _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def log_choose(n, r):
-    """log of the binomial coefficient C(n, r), elementwise.
-
-    ``n`` and ``r`` may be integers or integer arrays with 0 <= r <= n.
-    """
-    n_arr = np.asarray(n, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0) or np.any(r_arr > n_arr):
-        raise InvalidArgumentError("log_choose requires 0 <= r <= n")
-    out = log_gamma(n_arr + 1.0) - log_gamma(r_arr + 1.0) - log_gamma(n_arr - r_arr + 1.0)
-    if np.ndim(n) == 0 and np.ndim(r) == 0:
-        return float(out)
-    return out
-
 
 # Stirling-series error stirlerr(n) = log n! - log( sqrt(2 pi n) (n/e)^n ).
 # Exact table for n <= 15 (those factorials are exactly representable), the
@@ -126,21 +69,26 @@ def _stirlerr(n):
     return out
 
 
+def _masked(a, mask):
+    """``a``'s entries under ``mask``; a one-element ``a`` stays as is and broadcasts."""
+    return a if a.size == 1 else np.broadcast_to(a, mask.shape)[mask]
+
+
 def _bd0(x, m):
     """Deviance term x*log(x/m) + m - x for x, m > 0, evaluated stably.
 
     Near x = m the direct expression cancels badly, so a convergent series
-    in ((x-m)/(x+m))^2 takes over, as in Loader's reference evaluation.
+    in ((x-m)/(x+m))^2 takes over, as in Loader's reference evaluation; it
+    overwrites the direct value there.  ``x`` and ``m`` broadcast, and a
+    one-element operand is never copied out to the broadcast size.
     """
-    x_arr, m_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)),
-        np.atleast_1d(np.asarray(m, dtype=float)),
-    )
-    out = np.empty(x_arr.shape)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
+    out = x_arr * np.log(x_arr / m_arr) + m_arr - x_arr
     near = np.abs(x_arr - m_arr) < 0.1 * (x_arr + m_arr)
     if np.any(near):
-        xn = x_arr[near]
-        mn = m_arr[near]
+        xn = _masked(x_arr, near)
+        mn = _masked(m_arr, near)
         v = (xn - mn) / (xn + mn)
         s = (xn - mn) * v
         ej = 2.0 * xn * v
@@ -152,47 +100,48 @@ def _bd0(x, m):
                 break
             s = s_next
         out[near] = s
-    far = ~near
-    if np.any(far):
-        xf = x_arr[far]
-        mf = m_arr[far]
-        out[far] = xf * np.log(xf / mf) + mf - xf
     return out
 
 
 def _binomial_log_pmf(x, n: int, p):
     """log of C(n, x) p^x (1-p)^(n-x) for p strictly inside (0, 1).
 
-    ``x`` may be a scalar or integer-valued array in [0, n]; ``p`` a scalar
-    or array in (0, 1); the two broadcast.  Returns an ndarray of the
-    broadcast shape.  Degenerate p belongs to the callers, which resolve
-    p = 0 and p = 1 exactly.
+    ``x`` is a scalar or integer-valued array in [0, n] and ``p`` a scalar
+    or array in (0, 1); the result is an ndarray of their broadcast shape
+    (at least 1-d).  Callers pass one of the two as a scalar: a likelihood
+    curve is one count x over an array of grid points, an outcome pmf is an
+    array of counts at one p.  Terms that depend only on x are evaluated on
+    x's own shape and terms that depend only on p on p's shape, so neither
+    is repeated across the other's size; only the two deviance terms and
+    the final sum are broadcast.  The operation order is fixed, so a term
+    evaluated once gives the same bits as the same term evaluated per grid
+    point.  Degenerate p belongs to the callers, which resolve p = 0 and
+    p = 1 exactly.
     """
-    x_arr, p_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)),
-        np.atleast_1d(np.asarray(p, dtype=float)),
-    )
-    out = np.empty(x_arr.shape)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     lo = x_arr == 0.0
     hi = x_arr == float(n)
-    if np.any(lo):
-        out[lo] = n * np.log1p(-p_arr[lo])
-    if np.any(hi):
-        out[hi] = n * np.log(p_arr[hi])
     mid = ~(lo | hi)
     if np.any(mid):
-        xm = x_arr[mid]
-        pm = p_arr[mid]
-        qm = 1.0 - pm
+        # Edge counts take the placeholder 1, finite in every term below
+        # (mid is nonempty only for n >= 2), and are overwritten after.
+        xm = np.where(mid, x_arr, 1.0)
         lc = (
             _stirlerr(n)
             - _stirlerr(xm)
             - _stirlerr(n - xm)
-            - _bd0(xm, n * pm)
-            - _bd0(n - xm, n * qm)
+            - _bd0(xm, n * p_arr)
+            - _bd0(n - xm, n * (1.0 - p_arr))
         )
         lf = _LOG_TWO_PI + np.log(xm) + np.log1p(-xm / n)
-        out[mid] = lc - 0.5 * lf
+        out = lc - 0.5 * lf
+    else:
+        out = np.empty(np.broadcast_shapes(x_arr.shape, p_arr.shape))
+    if np.any(lo):
+        np.copyto(out, n * np.log1p(-p_arr), where=lo)
+    if np.any(hi):
+        np.copyto(out, n * np.log(p_arr), where=hi)
     return out
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from replicalc import cli
 from replicalc.cli import run
 
 
@@ -286,6 +287,20 @@ class TestOutputHandling:
     def test_missing_command_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, [])
         assert code == 2
+
+    def test_memory_error_is_runtime_error(self, capsys, monkeypatch):
+        """Running out of memory exits 1 with a one-line message, no traceback."""
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "posterior", exhausted)
+        code, out, err = invoke(capsys, ["posterior", "--successes", "50",
+                                         "--trials", "99"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "memory" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_repeat_runs_identical(self, capsys):
         """The same invocation renders byte-identical output."""

@@ -1,102 +1,29 @@
 """Tests for the special-function kernels.
 
-The log-gamma and complementary-error-function implementations are fixed
-rational/series approximations, so they are checked against independent
-oracles: the C library via ``math`` and scipy's vetted routines.
+The saddle-point binomial kernel and the complementary error function are
+fixed rational/series approximations, so they are checked against
+independent oracles: the C library via ``math`` and scipy's vetted
+routines.  The binomial kernel is also pinned bit for bit to a frozen copy
+of its original broadcast-everything form.
 """
 
 import math
 
 import numpy as np
-import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from replicalc.grid_model import make_grid
 from replicalc.special import (
+    _LOG_TWO_PI,
     _bd0,
     _binomial_log_pmf,
     _stirlerr,
     erfc,
-    log_choose,
-    log_gamma,
     normal_cdf,
 )
-
-
-class TestLogGamma:
-    """Lanczos log-gamma against the platform lgamma."""
-
-    def test_matches_lgamma_on_integers(self):
-        """log Gamma(k) = log (k-1)! for small integers."""
-        for k in range(1, 30):
-            assert_allclose(log_gamma(float(k)), math.lgamma(k), rtol=1e-13)
-
-    def test_matches_lgamma_across_magnitudes(self):
-        """Relative agreement with math.lgamma over nine decades."""
-        rng = np.random.default_rng(42)
-        x = 10.0 ** rng.uniform(-3, 6, size=20000)
-        ours = log_gamma(x)
-        oracle = np.array([math.lgamma(v) for v in x])
-        # log Gamma crosses zero at x = 1 and x = 2; compare with a small
-        # absolute floor so those roots do not blow up the relative error.
-        assert_allclose(ours, oracle, rtol=1e-12, atol=1e-12)
-
-    def test_tiny_arguments(self):
-        """Near zero the pole dominates; a digit of slack is expected."""
-        rng = np.random.default_rng(43)
-        x = 10.0 ** rng.uniform(-6, -3, size=5000)
-        oracle = np.array([math.lgamma(v) for v in x])
-        assert_allclose(log_gamma(x), oracle, rtol=1e-10)
-
-    def test_half_integer_values(self):
-        """Gamma(1/2) = sqrt(pi) and the recurrence from it."""
-        assert_allclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rtol=1e-14)
-        assert_allclose(log_gamma(1.5), math.log(math.sqrt(math.pi) / 2), rtol=1e-13)
-
-    def test_recurrence(self):
-        """log Gamma(x+1) - log Gamma(x) = log x."""
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0.1, 50.0, size=2000)
-        assert_allclose(log_gamma(x + 1.0) - log_gamma(x), np.log(x),
-                        rtol=1e-10, atol=1e-12)
-
-    def test_vector_and_scalar_agree(self):
-        xs = np.array([0.5, 1.0, 2.5, 10.0, 123.456])
-        vec = log_gamma(xs)
-        for i, x in enumerate(xs):
-            scalar = log_gamma(float(x))
-            assert isinstance(scalar, float)
-            assert scalar == vec[i]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
-
-
-class TestLogChoose:
-    """Log binomial coefficients against exact integer arithmetic."""
-
-    def test_matches_comb_small(self):
-        for n in range(0, 60):
-            for r in range(0, n + 1):
-                assert_allclose(log_choose(n, r), math.log(math.comb(n, r)),
-                                rtol=1e-12, atol=1e-12)
-
-    def test_matches_comb_large(self):
-        cases = [(499, 250), (1000, 17), (10000, 5000), (99, 50)]
-        for n, r in cases:
-            assert_allclose(log_choose(n, r), math.log(math.comb(n, r)), rtol=1e-12)
-
-    def test_symmetry(self):
-        """C(n, r) = C(n, n-r)."""
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(1, 500))
-            r = int(rng.integers(0, n + 1))
-            assert_allclose(log_choose(n, r), log_choose(n, n - r), rtol=1e-12,
-                            atol=1e-12)
 
 
 class TestSaddlePointKernel:
@@ -158,6 +85,101 @@ class TestSaddlePointKernel:
                       + (n - r) * math.log1p(-p))
             assert_allclose(_binomial_log_pmf(r, n, p)[0], direct,
                             rtol=0, atol=1e-11)
+
+
+def _frozen_bd0(x, m):
+    """The original _bd0: both operands broadcast to full size before masking."""
+    x_arr, m_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)),
+        np.atleast_1d(np.asarray(m, dtype=float)),
+    )
+    out = np.empty(x_arr.shape)
+    near = np.abs(x_arr - m_arr) < 0.1 * (x_arr + m_arr)
+    if np.any(near):
+        xn = x_arr[near]
+        mn = m_arr[near]
+        v = (xn - mn) / (xn + mn)
+        s = (xn - mn) * v
+        ej = 2.0 * xn * v
+        v2 = v * v
+        for j in range(1, 1000):
+            ej = ej * v2
+            s_next = s + ej / (2 * j + 1)
+            if np.all(s_next == s):
+                break
+            s = s_next
+        out[near] = s
+    far = ~near
+    if np.any(far):
+        xf = x_arr[far]
+        mf = m_arr[far]
+        out[far] = xf * np.log(xf / mf) + mf - xf
+    return out
+
+
+def _frozen_binomial_log_pmf(x, n, p):
+    """The original _binomial_log_pmf: x and p broadcast before every term."""
+    x_arr, p_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)),
+        np.atleast_1d(np.asarray(p, dtype=float)),
+    )
+    out = np.empty(x_arr.shape)
+    lo = x_arr == 0.0
+    hi = x_arr == float(n)
+    if np.any(lo):
+        out[lo] = n * np.log1p(-p_arr[lo])
+    if np.any(hi):
+        out[hi] = n * np.log(p_arr[hi])
+    mid = ~(lo | hi)
+    if np.any(mid):
+        xm = x_arr[mid]
+        pm = p_arr[mid]
+        qm = 1.0 - pm
+        lc = (
+            _stirlerr(n)
+            - _stirlerr(xm)
+            - _stirlerr(n - xm)
+            - _frozen_bd0(xm, n * pm)
+            - _frozen_bd0(n - xm, n * qm)
+        )
+        lf = _LOG_TWO_PI + np.log(xm) + np.log1p(-xm / n)
+        out[mid] = lc - 0.5 * lf
+    return out
+
+
+def _assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@st.composite
+def _count_and_trials(draw):
+    n = draw(st.integers(min_value=1, max_value=100_000))
+    r = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    return r, n
+
+
+class TestKernelBitIdentity:
+    """Count-only and p-only terms evaluated once give the broadcast bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_count_and_trials(), st.integers(min_value=3, max_value=10_001))
+    def test_likelihood_curve_matches_frozen_kernel(self, rn, points):
+        r, n = rn
+        p = make_grid(points).values[1:-1]
+        _assert_same_bits(_binomial_log_pmf(r, n, p),
+                          _frozen_binomial_log_pmf(r, n, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=100_000),
+           st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
+    def test_outcome_pmf_matches_frozen_kernel(self, n, p):
+        k = np.arange(n + 1)
+        _assert_same_bits(_binomial_log_pmf(k, n, p),
+                          _frozen_binomial_log_pmf(k, n, p))
+
+    def test_scalar_bd0_shape(self):
+        _assert_same_bits(_bd0(1000.0, 1000.0), _frozen_bd0(1000.0, 1000.0))
 
 
 class TestErfc:
