@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`ReplicalcError` so
 callers (including the CLI) can distinguish computation failures from plain
-programming mistakes such as ``TypeError``.
+programming mistakes such as ``TypeError``.  :func:`require_unit_interval`
+is the one check behind every "must lie in [0, 1]" message.
 """
 
 
@@ -28,3 +29,11 @@ class ContradictoryEvidenceError(ReplicalcError):
 
 class InconsistentInputsError(ReplicalcError):
     """Scalar inputs that are individually valid but jointly impossible."""
+
+
+def require_unit_interval(**values: float) -> None:
+    """Raise ``InvalidArgumentError("<name> must lie in [0, 1]")`` for the
+    first keyword value, in the order given, outside [0, 1] or NaN."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:  # written this way round so NaN fails too
+            raise InvalidArgumentError(f"{name} must lie in [0, 1]")

@@ -15,7 +15,6 @@ can consume:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ __all__ = [
     "build_figure",
     "dataset_to_csv",
     "dataset_from_csv",
+    "render_csv",
 ]
 
 FIGURE_IDS = ("fig2", "fig3", "fig4")
@@ -120,15 +120,32 @@ def build_figure(figure_id: str) -> FigureDataset:
     return builder()
 
 
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render_csv(columns, rows) -> str:
+    """CSV text: a header line, then one line per row, each ending in a newline.
+
+    Floats are written in shortest round-trip form, booleans as
+    ``true``/``false`` and ``None`` as an empty field.  Feed it Python
+    scalars (``ndarray.tolist()``): ``repr`` of a numpy float is not its
+    number alone.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_field(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def dataset_to_csv(dataset: FigureDataset) -> str:
     """Render a dataset as CSV with shortest-round-trip float formatting."""
-    out = io.StringIO()
-    out.write(",".join(dataset.columns))
-    out.write("\n")
-    for row in dataset.rows:
-        out.write(",".join(repr(float(v)) for v in row))
-        out.write("\n")
-    return out.getvalue()
+    return render_csv(dataset.columns, dataset.rows.tolist())
 
 
 def dataset_from_csv(figure_id: str, text: str) -> FigureDataset:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import Curve, Observation, ParameterGrid
 from .likelihood import GaussianModel, binomial_outcome_pmf, gaussian_likelihood_curve
 from .posterior import (
@@ -62,17 +62,14 @@ class ComparisonReport:
     null_value: float
 
     def __post_init__(self):
-        probs = [
-            ("p_value_gaussian", self.p_value_gaussian),
-            ("p_value_gaussian_at_null", self.p_value_gaussian_at_null),
-            ("posterior_null_tail", self.posterior_null_tail),
-            ("null_value", self.null_value),
-        ]
+        require_unit_interval(
+            p_value_gaussian=self.p_value_gaussian,
+            p_value_gaussian_at_null=self.p_value_gaussian_at_null,
+            posterior_null_tail=self.posterior_null_tail,
+            null_value=self.null_value,
+        )
         if self.p_value_exact_binomial is not None:
-            probs.append(("p_value_exact_binomial", self.p_value_exact_binomial))
-        for name, v in probs:
-            if not 0.0 <= v <= 1.0:
-                raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+            require_unit_interval(p_value_exact_binomial=self.p_value_exact_binomial)
         if abs(self.absolute_gap - abs(self.p_value_gaussian - self.posterior_null_tail)) > _GAP_TOL:
             raise InvalidArgumentError("absolute_gap is inconsistent with its operands")
         if self.direction not in (AT_OR_BELOW, AT_OR_ABOVE):
@@ -89,8 +86,7 @@ def _opposite(direction: str) -> str:
 
 def exact_binomial_p_value(obs: Observation, null_p: float, direction: str) -> float:
     """Exact one-sided binomial tail: outcomes as or more extreme than r."""
-    if not 0.0 <= null_p <= 1.0:
-        raise InvalidArgumentError("null_p must lie in [0, 1]")
+    require_unit_interval(null_p=null_p)
     masses = binomial_outcome_pmf(obs.trials, null_p)
     if direction == AT_OR_ABOVE:
         return float(masses[obs.successes :].sum())
@@ -111,8 +107,7 @@ def gaussian_p_value(
     (``at_observed``, the default) or the null value (``at_null``); the two
     conventions answer slightly different questions and are both exposed.
     """
-    if not 0.0 <= null_p <= 1.0:
-        raise InvalidArgumentError("null_p must lie in [0, 1]")
+    require_unit_interval(null_p=null_p)
     if sd_convention == SD_AT_OBSERVED:
         base = obs.proportion
     elif sd_convention == SD_AT_NULL:
@@ -172,8 +167,7 @@ def gaussian_model_comparison(
     symmetric, so the P-value and the posterior null tail agree up to grid
     quantization — the regime in which the equivalence is literally true.
     """
-    if not 0.0 <= null_value <= 1.0:
-        raise InvalidArgumentError("null_value must lie in [0, 1]")
+    require_unit_interval(null_value=null_value)
     p_gauss = _gaussian_tail(model.center, null_value, model.sd, direction)
     dist = normalize(gaussian_likelihood_curve(model, grid))
     null_tail = tail_probability(dist, null_value, _opposite(direction))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import LIKELIHOOD, Curve, Observation, ParameterGrid
 from .special import _binomial_log_pmf
 
@@ -68,8 +68,7 @@ def binomial_pmf(successes: int, trials: int, p: float) -> float:
     p = 1 yields 1 iff successes = trials.
     """
     obs = Observation(successes=successes, trials=trials)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError("p must lie in [0, 1]")
+    require_unit_interval(p=p)
     log_mass = _log_pmf_at(obs.successes, obs.trials, np.asarray([float(p)]))[0]
     return float(np.exp(log_mass))
 
@@ -78,8 +77,7 @@ def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
     """Vector of binomial_pmf(k; trials, p) over all outcomes k = 0 ... trials."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError("p must lie in [0, 1]")
+    require_unit_interval(p=p)
     n = int(trials)
     k = np.arange(n + 1)
     if p == 0.0:

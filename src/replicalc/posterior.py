@@ -17,6 +17,7 @@ from .errors import (
     DegenerateEvidenceError,
     InconsistentInputsError,
     InvalidArgumentError,
+    require_unit_interval,
 )
 from .grid_model import DISTRIBUTION, Curve, Observation, ParameterGrid, make_grid
 from .likelihood import _log_pmf_at, binomial_outcome_pmf, likelihood_curve
@@ -95,8 +96,7 @@ def range_probability(dist: Curve, rng: RangeSpec) -> float:
 
 def tail_probability(dist: Curve, threshold: float, direction: str) -> float:
     """One-sided posterior mass at or beyond ``threshold``."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidArgumentError("threshold must lie in [0, 1]")
+    require_unit_interval(threshold=threshold)
     if direction == AT_OR_BELOW:
         rng = RangeSpec(0.0, threshold, True, True)
     elif direction == AT_OR_ABOVE:
@@ -134,9 +134,7 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
     With equal priors this is L(p_a)/(L(p_a) + L(p_b)); it is computed from
     the difference of log-likelihoods so extreme observations stay stable.
     """
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        if not 0.0 <= p <= 1.0:
-            raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+    require_unit_interval(p_a=p_a, p_b=p_b)
     log_a, log_b = _log_pmf_at(
         obs.successes, obs.trials, np.asarray([float(p_a), float(p_b)])
     )
@@ -151,9 +149,7 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
 
 def scalar_bayes(prior: float, likelihood: float, marginal: float) -> float:
     """Plain scalar Bayes rule: prior x likelihood / marginal."""
-    for name, v in (("prior", prior), ("likelihood", likelihood), ("marginal", marginal)):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+    require_unit_interval(prior=prior, likelihood=likelihood, marginal=marginal)
     if marginal == 0.0:
         raise InvalidArgumentError("marginal must be positive")
     result = prior * likelihood / marginal

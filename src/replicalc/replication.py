@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import Curve
 from .posterior import RangeSpec, range_probability
 
@@ -40,15 +40,13 @@ class ReplicationAssessment:
     ir_index_lower: float
 
     def __post_init__(self):
-        for name, v in (
-            ("idealistic", self.idealistic),
-            ("reproducibility_q", self.reproducibility_q),
-            ("realistic_lower", self.realistic_lower),
-            ("realistic_upper", self.realistic_upper),
-            ("ir_index_lower", self.ir_index_lower),
-        ):
-            if not 0.0 <= v <= 1.0:
-                raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+        require_unit_interval(
+            idealistic=self.idealistic,
+            reproducibility_q=self.reproducibility_q,
+            realistic_lower=self.realistic_lower,
+            realistic_upper=self.realistic_upper,
+            ir_index_lower=self.ir_index_lower,
+        )
         if abs(self.realistic_lower - self.reproducibility_q * self.idealistic) > _CONSISTENCY_TOL:
             raise InvalidArgumentError("realistic_lower must equal q x idealistic")
         if abs(self.realistic_upper - self.idealistic) > _CONSISTENCY_TOL:
@@ -69,16 +67,13 @@ def realistic_bounds(idealistic: float, q: float) -> tuple[float, float]:
     idealistic).  Best case: non-reproducibility does not hurt and the
     idealistic probability stands.
     """
-    for name, v in (("idealistic", idealistic), ("q", q)):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+    require_unit_interval(idealistic=idealistic, q=q)
     return (q * idealistic, idealistic)
 
 
 def ir_index(realistic: float, idealistic: float) -> float:
     """Realistic-to-idealistic ratio, clamped into [0, 1]."""
-    if not 0.0 <= realistic <= 1.0:
-        raise InvalidArgumentError("realistic must lie in [0, 1]")
+    require_unit_interval(realistic=realistic)
     if not 0.0 < idealistic <= 1.0:
         raise InvalidArgumentError("idealistic must be positive")
     if realistic > idealistic + 1e-12:

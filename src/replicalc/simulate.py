@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import make_grid
 from .likelihood import binomial_outcome_pmf
 
@@ -67,8 +67,8 @@ class SimulationConfig:
             raise InvalidArgumentError("num_trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
-        if self.significance_null is not None and not 0.0 <= self.significance_null <= 1.0:
-            raise InvalidArgumentError("significance_null must lie in [0, 1]")
+        if self.significance_null is not None:
+            require_unit_interval(significance_null=self.significance_null)
         if self.significance_alpha is not None and not 0.0 < self.significance_alpha < 1.0:
             raise InvalidArgumentError("significance_alpha must lie in (0, 1)")
 
@@ -199,8 +199,7 @@ def significance_boundary(
     """
     if trials_n < 1:
         raise InvalidArgumentError("trials_n must be >= 1")
-    if not 0.0 <= null_p <= 1.0:
-        raise InvalidArgumentError("null_p must lie in [0, 1]")
+    require_unit_interval(null_p=null_p)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
     masses = binomial_outcome_pmf(trials_n, null_p)
@@ -236,10 +235,7 @@ def simulate_threshold_instability(
     Each study draws a count from Binomial(trials_n, true_p); its exact
     one-sided (at-or-above) P-value against null_p is compared with alpha.
     """
-    if not 0.0 <= true_p <= 1.0:
-        raise InvalidArgumentError("true_p must lie in [0, 1]")
-    if not 0.0 <= null_p <= 1.0:
-        raise InvalidArgumentError("null_p must lie in [0, 1]")
+    require_unit_interval(true_p=true_p, null_p=null_p)
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1]")
     if trials_n < 1:

@@ -5,6 +5,7 @@ stdout/stderr through pytest; a single subprocess test checks the
 installed entry points end to end.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,22 @@ class TestReplicateCommand:
         assert code == 2
         assert "--idealistic" in err
 
+    def test_flag_checks_precede_the_posterior(self, capsys, monkeypatch):
+        """A missing or conflicting range is reported before any grid is built."""
+        def no_curve(*args):
+            raise AssertionError("likelihood_curve called before the flag checks")
+
+        monkeypatch.setattr(cli, "likelihood_curve", no_curve)
+        code, _, err = invoke(capsys, ["replicate", "--successes", "50",
+                                       "--trials", "99", "--q", "0.9"])
+        assert code == 2
+        assert "--range" in err
+        code, _, err = invoke(capsys, ["replicate", "--successes", "50",
+                                       "--trials", "99", "--q", "0.9",
+                                       "--range", "0.45:1", "--mass", "0.95"])
+        assert code == 2
+        assert err == "error: --range conflicts with --mass\n"
+
 
 class TestIntervalCommand:
     def test_equal_tail_interval(self, capsys):
@@ -322,3 +339,164 @@ class TestOutputHandling:
             capture_output=True, text=True)
         assert script.returncode == 0
         assert script.stdout == expected.stdout
+
+
+OBS = "--successes 50 --trials 99"
+INST = ("simulate --mode instability --num-trials 1000 --seed 42 "
+        "--significance-null 0.404 --significance-alpha 0.05")
+GOLDEN_STUDIES = {
+    "studies.txt": "# demo studies\nfirst,22,46\n\nsecond,28,53\n",
+    "empty.txt": "# no studies here\n",
+    "bad.txt": "first,22,46\nbogus line\n",
+    "contra.txt": "none,0,1\nall,1,1\n",
+}
+# argv (split on spaces) -> sha256 of repr((exit code, stdout, stderr)), run in
+# a directory holding GOLDEN_STUDIES with COLUMNS=80.  The values were recorded
+# before the CLI was rebuilt around its command table and pin every byte of
+# it: JSON key order, CSV float text, argparse usage and help, error lines.
+# Like perfbench/reference_digests.json they assume the float bits and the
+# argparse formatting of the machine they were recorded on.
+GOLDEN = {
+    "":
+        "d4504a21be92b7b8c411ef744e084303bf31d4f626101e321667cfd4019dcee7",
+    "--help":
+        "4d10e785ffc4b37bb825a5e700c7ea85123cdcd5dc7f64f4c339466070a83cb8",
+    "bogus":
+        "03c47ab65ff861957e8514a36c84774449bc6bb9ea87b2c971669fdf4e6a97e0",
+    f"posterior {OBS}":
+        "0dfaa03bd9a2d072f27de789d82a051a4110bc700a3c7b011ac92635699d89a6",
+    f"posterior {OBS} --grid 101 --format csv":
+        "61b02a09d7c54fe173ac71ea807490709728c89c32333bbe7b740fb822991cf9",
+    f"posterior {OBS} --grid 1001 --range 0.45:1 --at 0.43 --at 0.5":
+        "47829d8fef2ccaff8de0baf61becb1789303bf82fc362ddbb1e238389b4fee6f",
+    f"posterior {OBS} --grid 1001 --range 0.45:1 --range-open-lower --range-closed-upper --format csv":
+        "3cd64efa725df90fefbf7f7baae87bb549a992d0ff59b05e6f434db2d703643d",
+    "posterior --successes 0 --trials 10 --grid 101 --range 0:0.1":
+        "9c5645a668dffa35b7fb08b21558d3ce11db448ff8eb9b8b6afb421775d94dd2",
+    "posterior --successes 100 --trials 99":
+        "43203e8e88626074486be52a14b9ece6f2f0fc638fb5c530b0e6e72c8648a49a",
+    f"posterior {OBS} --grid 1":
+        "dd3023a08e9ab79e0e3801b9fbae2ae688e385d98ab6ed04315e26dafa33f7af",
+    f"posterior {OBS} --range 0.45":
+        "11f7870a06dd09443ea2ed94aff06e15498a95ca7da1614d0a9b5069acee9703",
+    f"posterior {OBS} --range a:b":
+        "166de245e7fabb244b6a78a228d9545bb11c7d35d3e4b3a69c55e806a612aae0",
+    f"posterior {OBS} --range 0.6:0.4":
+        "928e62cd800e8b5617cbbadfe8fd9fbf4e0e81ed367ae2bb9c49b20232f0697c",
+    f"posterior {OBS} --range-open-lower":
+        "de9271991da1348378ed348550bc672cbfd5dd2420ad62545ca11565b06f0672",
+    f"posterior {OBS} --range-closed-upper":
+        "5a4725607dd4c3fd0a853d3ef556bfa3e7e28cb3cd0f679108f36ecb1948df40",
+    f"posterior {OBS} --at 1.5":
+        "f235b27b90e3c3fa3313f9100ab054b7fc99b44b8ab2a33903108cc420d91d23",
+    f"posterior {OBS} --out missing/out.json":
+        "85f3c1a24ce72a0cafece783f2f390928314f9eaeab9092944dca56b75436930",
+    f"compare {OBS} --null 0.404":
+        "5844c32dacc1385dcff0b9d0b9980ec20d7c58d612bcbe6df32b3af28b0c13f3",
+    f"compare {OBS} --null 0.404 --grid 1001 --direction at_or_below --sd-convention at_null --format csv":
+        "06dac2b28fadc34c90ce7a08a330545f9b5d4663cfdef10f40257a8d0ef7eb07",
+    "compare --successes 10 --trials 10 --null 0.3 --grid 101":
+        "2bffad1360f881664c1b2b5c9738de7db8b9507beadaa8f3c52e6305c1ef4435",
+    "compare --successes 0 --trials 10 --null 0.5 --direction at_or_below --grid 101":
+        "3eebc41b7fa85957724563a44e119ba8a3996524bdd67758293d0811282d321a",
+    f"compare {OBS} --null 1.5":
+        "2b2c6be002e34e511e66c51cc4d9f621e94b81f72e18e03d9422c5e6ffa7020f",
+    f"compare {OBS} --null 0.404 --direction sideways":
+        "48407ca7e87edb3008594ac07b537b4b0ced938f6f161ca3d43a726f1a79b786",
+    "compare --help":
+        "ddd552e8bbbe904967ca1b7411156cbbb1ccec221cebb0a66623d86fda16f9ee",
+    f"compare {OBS}":
+        "87d2878aeffc044fe8b046397a373c58fed26fd88cd25f0e0ac05931225b22e3",
+    "combine --studies studies.txt":
+        "dda0c33b0bdff4e9ed9af0e7467a021e15fc154d89463baa2a445de552e42882",
+    "combine --studies studies.txt --grid 1001 --range 0.45:1 --format csv":
+        "6a41ba679ba98407db22033781f40270c72b747a77b645d0f0747ff7951b04db",
+    "combine --studies studies.txt --grid 1001 --range 0.45:1 --range-open-lower --range-closed-upper":
+        "a54290955f6ae826ad0b92ff5832aabee79e80871fb34f49d4f864946d16d46d",
+    "combine --studies studies.txt --range-open-lower":
+        "de9271991da1348378ed348550bc672cbfd5dd2420ad62545ca11565b06f0672",
+    "combine --studies missing.txt":
+        "d55481e362abe224137798792c06470cf233f690fe9d9e4b7a6e807288dda116",
+    "combine --studies empty.txt":
+        "785935af0448f60ba5a4ef5ec35a81152eec9bbeaf22fec11419e90041d7a08c",
+    "combine --studies bad.txt":
+        "d69265f7948292644a328651f850a474644cc61f11e40f37a76bed64f180d548",
+    "combine --studies contra.txt --grid 2":
+        "0125bc5a3148f8a312870434d9b0ff95d2712463e69b366f393a181e5e4b3722",
+    "replicate --idealistic 0.95 --q 0.9":
+        "742c35c2d34e6a19728b4db6d4b2fadc5693c970f7cac41011cc929660607123",
+    "replicate --idealistic 0.95 --q 0.9 --realistic 0.47 --format csv":
+        "2d8890b921ad852c3bf5689ef35140de8129bf3c98aa41daebcbf8e84d748104",
+    "replicate --idealistic 0 --q 0.9":
+        "0268b932f6eb65d01a0de5d39165971fc0f3cced5a07ec23daf5987fef2d7e7e",
+    f"replicate --q 0.9 {OBS} --grid 1001 --range 0.45:1":
+        "a1b2d035d94bcfe70810af67a2329e7cfde6545f690a4a1d9dbfd02486e42681",
+    f"replicate --q 0.9 {OBS} --grid 1001 --mass 0.95 --realistic 0.5":
+        "5f8b4f08ea8397a9b54dd2affc2e70702e3a82a09022ba69f9514becabeb3813",
+    f"replicate --q 0.9 {OBS} --grid 1001 --mass 0.95 --format csv":
+        "ae625892406d5b078de82743693bb15189ffbe17102707825a61e3354a40ea42",
+    f"replicate --q 0.9 {OBS} --range 0.45:1 --mass 0.95":
+        "5614fa6bc19e4138b66f7b8d0d57914aa91cfd0d167bff1749a2ae148d981694",
+    f"replicate --q 0.9 {OBS}":
+        "6acb600ef29aa30c003e8eee7c6b6bf02cccc0448494cac9387044506ba9aa23",
+    "replicate --q 0.9":
+        "55f9a014d6ccb2992fc462ff33b9b81f202d4e5ff873ed5098e9779791367cb3",
+    "replicate --q 0.9 --successes 150 --trials 99 --range 0.45:1":
+        "43203e8e88626074486be52a14b9ece6f2f0fc638fb5c530b0e6e72c8648a49a",
+    "replicate --q 1.5 --idealistic 0.5":
+        "d4a2dbafdfc291c990aeabaf1d133bae0624111c4acfcbcb563c6419cfbb21f4",
+    "replicate --q 0.9 --idealistic 0.5 --realistic 0.6":
+        "ea3e75eb825f816ef40c1dcfc9934bfb53017897508bf6e373c22151f570b0a4",
+    f"interval {OBS} --mass 0.95":
+        "c2e9b92602826f2681ceb01e47e933027fd32d4f17e83873a92a6b745051e1a7",
+    f"interval {OBS} --mass 0.95 --grid 1001 --format csv":
+        "80f30ad2bf3f27fc6b23cf67bc76a762eed1aac66c2efcbcb393dba4a0735658",
+    f"interval {OBS} --mass 0.95 --out out.json":
+        "24206d02658f3db06e8faaa242e039ccab3ac83f648115c40a5a9554d1f055a0",
+    f"interval {OBS} --mass 1.5":
+        "732cca2af6b84f9d234865e94319e4c75b2e70299f2ebaedf5d6307b42fd2788",
+    f"interval {OBS}":
+        "a3b5f853aeb0f5121bee4167f528d2e636aa817d4c3af451f4760e553eba4d47",
+    "simulate --num-trials 500 --seed 9":
+        "eafc8eabd24dd5e4263964467f2577c6e79cd17d0809bd87229b7547b6af3d95",
+    "simulate --num-trials 2000 --seed 3 --grid-points 11 --trials-n 20 --format csv":
+        "e55d0be1dc8fe6d56de3c9281003a802d1911bf84590c8fcdb844eaad6a0dfab",
+    "simulate --num-trials 100 --seed 1 --grid-points 11 --trials-n 5 --significance-null 0.404 --significance-alpha 0.05":
+        "92dd5ffcf9b91bc282ed094b765e0495942aeba1b236fe676e29b183c9f466a7",
+    "simulate --num-trials 10 --seed 1 --significance-null 1.5":
+        "5f7fbd35dece4bd1ad6461278adc453232cd67cbf21bb17b8c8017e3e1908b2b",
+    "simulate --num-trials 10 --seed -1":
+        "0f21c0697df67e596700a6fae89fa7c15b2b7acffb1f476ecde2c97e85ebd67a",
+    f"{INST} --locate-boundary":
+        "178860edc370008956d9838e6b61e3a60fcd687a8431cbdbebbb0e9c3752c9ab",
+    f"{INST} --true-p 0.7 --format csv":
+        "548167ee4e8771e1a105bc50f13eeeb6c9424d7824c9bff34294e935f5b73be4",
+    f"{INST} --true-p 0.5 --locate-boundary":
+        "b43c4963a53559910ab14c5e45c1af81d6e3dcd1e9d87067f381959392d8a348",
+    INST:
+        "98f7039273ae55a015106854c0475faceefcd991c70d7ea60d5be1e7743922bb",
+    "simulate --mode instability --num-trials 10 --seed 1":
+        "94829c10d4297c9a647654b472b550d2bd58ead505706bc9800f0518a27f71b5",
+    "figure --id fig2":
+        "60539d793a217e4903b460e49b7beea2c9156301429e32ceed9621d29ee8bbe9",
+    "figure --id fig2 --format csv":
+        "37ca7382461596bec4225eceac8b626c0bc70088182f92969fa409b07f80e3a5",
+    "figure --id fig3 --format csv":
+        "d2b34b3c63fe6d22a2e9170946a4430ba25d8dedbc2485b4ef55161d89ddd23e",
+    "figure --id fig4":
+        "f96cdd40d7c98ab1b15e718a7f4bab5ee476205b9f645f42088309df448daa6e",
+    "figure --id fig9":
+        "536c94104639b6f8ce0d7c7b11e9505cedabf27ef86de7f24300520c695a24bf",
+    "simulate --help":
+        "ead57fb70c0c102227b8a90ea4400a9e4197fc7c9907f54c4f8857566f62383a",
+}
+
+
+@pytest.mark.parametrize("line", list(GOLDEN))
+def test_golden_output(line, capsys, monkeypatch, tmp_path):
+    for name, text in GOLDEN_STUDIES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    triple = invoke(capsys, line.split())
+    assert hashlib.sha256(repr(triple).encode()).hexdigest() == GOLDEN[line]
