@@ -70,8 +70,6 @@ from .combine import (
 from .replication import (
     ReplicationAssessment,
     assess_replication,
-    assessment_from_idealistic,
-    idealistic_replication,
     ir_index,
     realistic_bounds,
 )
@@ -112,7 +110,6 @@ __all__ = [
     "SimulationConfig",
     "StudyRecord",
     "assess_replication",
-    "assessment_from_idealistic",
     "binomial_identity_divergence",
     "binomial_outcome_pmf",
     "binomial_pmf",
@@ -124,7 +121,6 @@ __all__ = [
     "gaussian_likelihood_curve",
     "gaussian_model_comparison",
     "gaussian_p_value",
-    "idealistic_replication",
     "induced_outcome_attribution",
     "induced_pair",
     "ir_index",

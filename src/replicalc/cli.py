@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .combine import load_studies, pool_studies
-from .errors import InvalidArgumentError, ReplicalcError
+from .errors import InvalidArgumentError, ReplicalcError, require_unit_interval
 from .figures import FIGURE_IDS, build_figure, render_csv
 from .grid_model import Observation, make_grid, prior_per_point
 from .inference_compare import (
@@ -40,7 +40,7 @@ from .posterior import (
     range_probability,
     replication_interval,
 )
-from .replication import assessment_from_idealistic, ir_index
+from .replication import ReplicationAssessment, ir_index
 from .simulate import (
     SimulationConfig,
     significance_boundary,
@@ -199,11 +199,11 @@ def _flat_table(row: dict):
 
 
 def _cmd_posterior(args):
+    rng = _parse_range(args)
     obs = Observation(args.successes, args.trials)
     grid = make_grid(args.grid)
     curve = likelihood_curve(obs, grid)
     dist = normalize(curve)
-    rng = _parse_range(args)
     body = {"likelihood_sum": likelihood_sum(curve), **_distribution_summary(dist)}
     if args.at:
         body["points"] = [
@@ -245,6 +245,7 @@ def _cmd_compare(args):
 
 
 def _cmd_combine(args):
+    rng = _parse_range(args)
     try:
         studies = load_studies(args.studies)
     except OSError as exc:
@@ -254,7 +255,6 @@ def _cmd_combine(args):
     if not studies:
         raise InvalidArgumentError(f"--studies: {args.studies} contains no studies")
     dist = pool_studies(studies, make_grid(args.grid))
-    rng = _parse_range(args)
     body = {
         "studies": [
             {"label": s.label, **_echo(s.observation, "successes", "trials")} for s in studies
@@ -293,7 +293,7 @@ def _cmd_replicate(args):
             interval_payload = _range_payload(rng, range_probability(dist, rng))
         idealistic = range_probability(dist, rng)
         source = "posterior"
-    assessment = assessment_from_idealistic(idealistic, args.q)
+    assessment = ReplicationAssessment(idealistic, args.q)
     row = {
         "idealistic": assessment.idealistic,
         "q": assessment.reproducibility_q,
@@ -328,14 +328,12 @@ def _nan_to_none(value: float):
 
 def _cmd_simulate(args):
     if args.mode == "calibration":
-        config = SimulationConfig(
-            grid_points=args.grid_points,
-            trials_n=args.trials_n,
-            num_trials=args.num_trials,
-            seed=args.seed,
-            significance_null=args.significance_null,
-            significance_alpha=args.significance_alpha,
-        )
+        config = SimulationConfig(args.grid_points, args.trials_n, args.num_trials, args.seed)
+        # Calibration ignores the test flags but still rejects bad values.
+        if args.significance_null is not None:
+            require_unit_interval(significance_null=args.significance_null)
+        if args.significance_alpha is not None and not 0.0 < args.significance_alpha < 1.0:
+            raise InvalidArgumentError("significance_alpha must lie in (0, 1)")
         report = simulate_calibration(config)
         columns = ("observed", "count", "qualifies", "max_deviation")
         cells = [

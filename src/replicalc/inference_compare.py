@@ -11,7 +11,7 @@ correspondence approximate, and this module quantifies the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InvalidArgumentError, require_unit_interval
@@ -39,8 +39,6 @@ __all__ = [
 SD_AT_OBSERVED = "at_observed"
 SD_AT_NULL = "at_null"
 
-_GAP_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -50,14 +48,15 @@ class ComparisonReport:
     the observed proportion); the alternative convention is always reported
     alongside it because the choice is a genuine modelling ambiguity.
     ``p_value_exact_binomial`` is None for purely Gaussian comparisons,
-    where no exact discrete tail exists.
+    where no exact discrete tail exists.  ``absolute_gap`` is derived:
+    |p_value_gaussian - posterior_null_tail|.
     """
 
     p_value_gaussian: float
     p_value_gaussian_at_null: float
     p_value_exact_binomial: Optional[float]
     posterior_null_tail: float
-    absolute_gap: float
+    absolute_gap: float = field(init=False)
     direction: str
     null_value: float
 
@@ -70,10 +69,10 @@ class ComparisonReport:
         )
         if self.p_value_exact_binomial is not None:
             require_unit_interval(p_value_exact_binomial=self.p_value_exact_binomial)
-        if abs(self.absolute_gap - abs(self.p_value_gaussian - self.posterior_null_tail)) > _GAP_TOL:
-            raise InvalidArgumentError("absolute_gap is inconsistent with its operands")
         if self.direction not in (AT_OR_BELOW, AT_OR_ABOVE):
             raise InvalidArgumentError(f"unknown direction: {self.direction!r}")
+        gap = abs(self.p_value_gaussian - self.posterior_null_tail)
+        object.__setattr__(self, "absolute_gap", gap)
 
 
 def _opposite(direction: str) -> str:
@@ -152,7 +151,6 @@ def compare_p_and_posterior(
         p_value_gaussian_at_null=p_gauss_null,
         p_value_exact_binomial=p_exact,
         posterior_null_tail=null_tail,
-        absolute_gap=abs(p_gauss - null_tail),
         direction=direction,
         null_value=null_p,
     )
@@ -176,7 +174,6 @@ def gaussian_model_comparison(
         p_value_gaussian_at_null=p_gauss,
         p_value_exact_binomial=None,
         posterior_null_tail=null_tail,
-        absolute_gap=abs(p_gauss - null_tail),
         direction=direction,
         null_value=null_value,
     )

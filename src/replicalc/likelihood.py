@@ -3,7 +3,9 @@
 All point masses are computed in log-space — binomial masses through the
 saddle-point form in :mod:`.special`, Gaussian densities directly — and
 exponentiated last, so curves stay finite and NaN-free for counts up to
-10^5 and for degenerate parameters (p = 0, p = 1, r = 0, r = n).
+10^5 and for degenerate parameters (p = 0, p = 1, r = 0, r = n).  The
+binomial kernel owns the degenerate cases: every function here passes p
+in [0, 1] to it unchanged.
 """
 
 from __future__ import annotations
@@ -43,24 +45,6 @@ class GaussianModel:
             raise InvalidArgumentError("GaussianModel requires sd > 0")
 
 
-def _log_pmf_at(successes: int, trials: int, p_values: np.ndarray) -> np.ndarray:
-    """log binomial_pmf(successes; trials, p) elementwise over p_values.
-
-    Impossible outcomes get -inf; degenerate p in {0, 1} is handled exactly
-    rather than through log(0) arithmetic.
-    """
-    r, n = successes, trials
-    out = np.full(p_values.shape, -np.inf)
-    interior = (p_values > 0.0) & (p_values < 1.0)
-    if np.any(interior):
-        out[interior] = _binomial_log_pmf(r, n, p_values[interior])
-    if r == 0:
-        out[p_values == 0.0] = 0.0
-    if r == n:
-        out[p_values == 1.0] = 0.0
-    return out
-
-
 def binomial_pmf(successes: int, trials: int, p: float) -> float:
     """Exact binomial point mass C(n, r) p^r (1-p)^(n-r).
 
@@ -69,7 +53,7 @@ def binomial_pmf(successes: int, trials: int, p: float) -> float:
     """
     obs = Observation(successes=successes, trials=trials)
     require_unit_interval(p=p)
-    log_mass = _log_pmf_at(obs.successes, obs.trials, np.asarray([float(p)]))[0]
+    log_mass = _binomial_log_pmf(obs.successes, obs.trials, float(p))[0]
     return float(np.exp(log_mass))
 
 
@@ -79,23 +63,14 @@ def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
         raise InvalidArgumentError("trials must be >= 1")
     require_unit_interval(p=p)
     n = int(trials)
-    k = np.arange(n + 1)
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    log_mass = _binomial_log_pmf(k, n, p)
+    log_mass = _binomial_log_pmf(np.arange(n + 1), n, p)
     with np.errstate(under="ignore"):
         return np.exp(log_mass)
 
 
 def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
     """Binomial likelihood of the observation at every grid point."""
-    log_mass = _log_pmf_at(obs.successes, obs.trials, grid.values)
+    log_mass = _binomial_log_pmf(obs.successes, obs.trials, grid.values)
     with np.errstate(under="ignore"):
         values = np.exp(log_mass)
     return Curve(grid=grid, values=values, kind=LIKELIHOOD)

@@ -20,7 +20,8 @@ from .errors import (
     require_unit_interval,
 )
 from .grid_model import DISTRIBUTION, Curve, Observation, ParameterGrid, make_grid
-from .likelihood import _log_pmf_at, binomial_outcome_pmf, likelihood_curve
+from .likelihood import binomial_outcome_pmf, likelihood_curve
+from .special import _binomial_log_pmf
 
 __all__ = [
     "AT_OR_BELOW",
@@ -135,16 +136,15 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
     the difference of log-likelihoods so extreme observations stay stable.
     """
     require_unit_interval(p_a=p_a, p_b=p_b)
-    log_a, log_b = _log_pmf_at(
-        obs.successes, obs.trials, np.asarray([float(p_a), float(p_b)])
-    )
+    log_a, log_b = _binomial_log_pmf(obs.successes, obs.trials, np.array([p_a, p_b], dtype=float))
     if log_a == -np.inf and log_b == -np.inf:
         raise DegenerateEvidenceError("both hypotheses have zero likelihood")
     if log_a == -np.inf:
         return 0.0
     if log_b == -np.inf:
         return 1.0
-    return float(1.0 / (1.0 + np.exp(log_b - log_a)))
+    with np.errstate(over="ignore"):  # lopsided evidence saturates at 0 or 1
+        return float(1.0 / (1.0 + np.exp(log_b - log_a)))
 
 
 def scalar_bayes(prior: float, likelihood: float, marginal: float) -> float:

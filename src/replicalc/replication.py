@@ -6,12 +6,14 @@ only reproducible with some probability q, so the realistic probability is
 bracketed: at worst a non-reproducible repeat never replicates (lower bound
 q x idealistic), at best it replicates as if nothing changed (upper bound
 equal to the idealistic probability).  The I/R index is the ratio of a
-realistic probability to the idealistic one.
+realistic probability to the idealistic one.  A
+:class:`ReplicationAssessment` is built from the idealistic probability and
+q alone and derives the bounds and the lower I/R index itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import Curve
@@ -19,45 +21,28 @@ from .posterior import RangeSpec, range_probability
 
 __all__ = [
     "ReplicationAssessment",
-    "idealistic_replication",
     "realistic_bounds",
     "ir_index",
     "assess_replication",
-    "assessment_from_idealistic",
 ]
-
-_CONSISTENCY_TOL = 1e-15
 
 
 @dataclass(frozen=True)
 class ReplicationAssessment:
-    """Bundle of idealistic probability, realistic bounds, and I/R index."""
+    """Idealistic probability and q, with the realistic bounds and I/R index they imply."""
 
     idealistic: float
     reproducibility_q: float
-    realistic_lower: float
-    realistic_upper: float
-    ir_index_lower: float
+    realistic_lower: float = field(init=False)
+    realistic_upper: float = field(init=False)
+    ir_index_lower: float = field(init=False)
 
     def __post_init__(self):
-        require_unit_interval(
-            idealistic=self.idealistic,
-            reproducibility_q=self.reproducibility_q,
-            realistic_lower=self.realistic_lower,
-            realistic_upper=self.realistic_upper,
-            ir_index_lower=self.ir_index_lower,
-        )
-        if abs(self.realistic_lower - self.reproducibility_q * self.idealistic) > _CONSISTENCY_TOL:
-            raise InvalidArgumentError("realistic_lower must equal q x idealistic")
-        if abs(self.realistic_upper - self.idealistic) > _CONSISTENCY_TOL:
-            raise InvalidArgumentError("realistic_upper must equal the idealistic probability")
-        if self.realistic_lower > self.realistic_upper:
-            raise InvalidArgumentError("realistic bounds must be ordered")
-
-
-def idealistic_replication(dist: Curve, rng: RangeSpec) -> float:
-    """Posterior mass on the replication range under perfect reproducibility."""
-    return range_probability(dist, rng)
+        lower, upper = realistic_bounds(self.idealistic, self.reproducibility_q)
+        ir_lower = ir_index(lower, self.idealistic) if self.idealistic > 0.0 else 0.0
+        object.__setattr__(self, "realistic_lower", lower)
+        object.__setattr__(self, "realistic_upper", upper)
+        object.__setattr__(self, "ir_index_lower", ir_lower)
 
 
 def realistic_bounds(idealistic: float, q: float) -> tuple[float, float]:
@@ -81,22 +66,6 @@ def ir_index(realistic: float, idealistic: float) -> float:
     return min(realistic / idealistic, 1.0)
 
 
-def assessment_from_idealistic(idealistic: float, q: float) -> ReplicationAssessment:
-    """Build the full assessment from a known idealistic probability."""
-    lower, upper = realistic_bounds(idealistic, q)
-    if idealistic > 0.0:
-        ir_lower = ir_index(lower, idealistic)
-    else:
-        ir_lower = 0.0
-    return ReplicationAssessment(
-        idealistic=idealistic,
-        reproducibility_q=q,
-        realistic_lower=lower,
-        realistic_upper=upper,
-        ir_index_lower=ir_lower,
-    )
-
-
 def assess_replication(dist: Curve, rng: RangeSpec, q: float) -> ReplicationAssessment:
     """Assess replication of a posterior over a range with reproducibility q."""
-    return assessment_from_idealistic(idealistic_replication(dist, rng), q)
+    return ReplicationAssessment(range_probability(dist, rng), q)

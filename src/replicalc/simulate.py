@@ -17,7 +17,6 @@ index: chunked, reordered, or parallel execution cannot change them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -55,8 +54,6 @@ class SimulationConfig:
     trials_n: int
     num_trials: int
     seed: int
-    significance_null: Optional[float] = None
-    significance_alpha: Optional[float] = None
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -67,10 +64,6 @@ class SimulationConfig:
             raise InvalidArgumentError("num_trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
-        if self.significance_null is not None:
-            require_unit_interval(significance_null=self.significance_null)
-        if self.significance_alpha is not None and not 0.0 < self.significance_alpha < 1.0:
-            raise InvalidArgumentError("significance_alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

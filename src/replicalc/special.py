@@ -11,7 +11,8 @@ libraries.  Two classic, published approximations are used:
   (Stirling error plus deviance terms).  Differencing three large
   log-gamma values would cost ~1e-11 of absolute error on the log scale at
   n = 10^4; the saddle-point split keeps it near machine epsilon, so
-  outcome vectors sum to 1 within ~1e-13.
+  outcome vectors sum to 1 within ~1e-13.  It takes p anywhere in [0, 1]
+  and is exact at p = 0 and p = 1, so no caller special-cases them.
 
 All routines accept scalars or numpy arrays and never call into
 ``math.lgamma`` or ``math.erf``, which may differ in the last bits between
@@ -75,7 +76,7 @@ def _masked(a, mask):
 
 
 def _bd0(x, m):
-    """Deviance term x*log(x/m) + m - x for x, m > 0, evaluated stably.
+    """Deviance term x*log(x/m) + m - x for x > 0 and m >= 0, evaluated stably.
 
     Near x = m the direct expression cancels badly, so a convergent series
     in ((x-m)/(x+m))^2 takes over, as in Loader's reference evaluation; it
@@ -104,10 +105,10 @@ def _bd0(x, m):
 
 
 def _binomial_log_pmf(x, n: int, p):
-    """log of C(n, x) p^x (1-p)^(n-x) for p strictly inside (0, 1).
+    """log of C(n, x) p^x (1-p)^(n-x) for p in [0, 1].
 
     ``x`` is a scalar or integer-valued array in [0, n] and ``p`` a scalar
-    or array in (0, 1); the result is an ndarray of their broadcast shape
+    or array in [0, 1]; the result is an ndarray of their broadcast shape
     (at least 1-d).  Callers pass one of the two as a scalar: a likelihood
     curve is one count x over an array of grid points, an outcome pmf is an
     array of counts at one p.  Terms that depend only on x are evaluated on
@@ -115,33 +116,37 @@ def _binomial_log_pmf(x, n: int, p):
     is repeated across the other's size; only the two deviance terms and
     the final sum are broadcast.  The operation order is fixed, so a term
     evaluated once gives the same bits as the same term evaluated per grid
-    point.  Degenerate p belongs to the callers, which resolve p = 0 and
-    p = 1 exactly.
+    point.  Degenerate p is exact through log 0 = -inf: every impossible
+    outcome gets -inf and the one possible outcome gets 0.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    # + 0.0 turns p = -0.0 into +0.0 and leaves every other value unchanged;
+    # otherwise x log(x / -0.0) would be log(-inf) = NaN.
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float)) + 0.0
     lo = x_arr == 0.0
     hi = x_arr == float(n)
     mid = ~(lo | hi)
-    if np.any(mid):
-        # Edge counts take the placeholder 1, finite in every term below
-        # (mid is nonempty only for n >= 2), and are overwritten after.
-        xm = np.where(mid, x_arr, 1.0)
-        lc = (
-            _stirlerr(n)
-            - _stirlerr(xm)
-            - _stirlerr(n - xm)
-            - _bd0(xm, n * p_arr)
-            - _bd0(n - xm, n * (1.0 - p_arr))
-        )
-        lf = _LOG_TWO_PI + np.log(xm) + np.log1p(-xm / n)
-        out = lc - 0.5 * lf
-    else:
-        out = np.empty(np.broadcast_shapes(x_arr.shape, p_arr.shape))
-    if np.any(lo):
-        np.copyto(out, n * np.log1p(-p_arr), where=lo)
-    if np.any(hi):
-        np.copyto(out, n * np.log(p_arr), where=hi)
+    with np.errstate(divide="ignore"):
+        if np.any(mid):
+            # Edge counts take the placeholder 1, finite in every term below
+            # (mid is nonempty only for n >= 2), and are overwritten after.
+            # At p = 0 or 1 a deviance term is x log(x/0) = +inf, never 0 x inf.
+            xm = np.where(mid, x_arr, 1.0)
+            lc = (
+                _stirlerr(n)
+                - _stirlerr(xm)
+                - _stirlerr(n - xm)
+                - _bd0(xm, n * p_arr)
+                - _bd0(n - xm, n * (1.0 - p_arr))
+            )
+            lf = _LOG_TWO_PI + np.log(xm) + np.log1p(-xm / n)
+            out = lc - 0.5 * lf
+        else:
+            out = np.empty(np.broadcast_shapes(x_arr.shape, p_arr.shape))
+        if np.any(lo):
+            np.copyto(out, n * np.log1p(-p_arr), where=lo)
+        if np.any(hi):
+            np.copyto(out, n * np.log(p_arr), where=hi)
     return out
 
 

@@ -68,6 +68,17 @@ class TestPosteriorCommand:
         assert [entry["p"] for entry in points] == [0.43, 0.5]
         assert_allclose(points[0]["mass"], 0.0002595, rtol=0, atol=5e-7)
 
+    def test_range_check_precedes_the_posterior(self, capsys, monkeypatch):
+        """A bad --range is reported before any grid is built."""
+        def no_curve(*args):
+            raise AssertionError("likelihood_curve called before the --range check")
+
+        monkeypatch.setattr(cli, "likelihood_curve", no_curve)
+        code, _, err = invoke(capsys, ["posterior", "--successes", "50",
+                                       "--trials", "99", "--range", "0.45"])
+        assert code == 2
+        assert "--range" in err
+
     def test_csv_output(self, capsys):
         code, out, _ = invoke(capsys, ["posterior", "--successes", "50",
                                        "--trials", "99", "--format", "csv"])
@@ -119,6 +130,16 @@ class TestCombineCommand:
                                        "/nonexistent/studies.txt"])
         assert code == 2
         assert "--studies" in err
+
+    def test_range_check_precedes_pooling(self, capsys, monkeypatch):
+        """A bad --range is reported before the studies are read or pooled."""
+        def no_pool(*args):
+            raise AssertionError("pool_studies called before the --range check")
+
+        monkeypatch.setattr(cli, "pool_studies", no_pool)
+        code, _, err = invoke(capsys, ["combine", "--studies", "f", "--range", "a:b"])
+        assert code == 2
+        assert "--range" in err
 
     def test_malformed_line_reports_position(self, capsys, tmp_path):
         studies = tmp_path / "studies.txt"
@@ -213,6 +234,26 @@ class TestSimulateCommand:
         assert payload["populated_cells"] == len(payload["cells"])
         counts = sum(cell["count"] for cell in payload["cells"])
         assert counts == 500
+
+    def test_calibration_checks_significance_alpha(self, capsys):
+        """Calibration ignores the test flags but still rejects a bad alpha."""
+        code, out, err = invoke(capsys, ["simulate", "--num-trials", "10", "--seed", "1",
+                                         "--significance-alpha", "1.5"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: significance_alpha must lie in (0, 1)\n"
+
+    def test_negative_zero_null_acts_as_zero(self, capsys):
+        """--significance-null -0.0 passes the [0, 1] check and locates the
+        same boundary as 0.0."""
+        argv = ["simulate", "--mode", "instability", "--num-trials", "50",
+                "--seed", "1", "--significance-alpha", "0.05", "--locate-boundary",
+                "--significance-null"]
+        negative = invoke_json(capsys, argv + ["-0.0"])
+        positive = invoke_json(capsys, argv + ["0.0"])
+        del negative["inputs"], positive["inputs"]
+        assert negative == positive
+        assert negative["boundary"]["boundary_count"] == 1
 
     def test_instability_locate_boundary(self, capsys):
         payload = invoke_json(capsys, ["simulate", "--mode", "instability",

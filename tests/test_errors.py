@@ -15,7 +15,6 @@ from replicalc import (
     InvalidArgumentError,
     Observation,
     ReplicationAssessment,
-    SimulationConfig,
     binomial_outcome_pmf,
     binomial_pmf,
     compare_p_and_posterior,
@@ -32,14 +31,21 @@ from replicalc import (
     tail_probability,
     two_hypothesis_posterior,
 )
+from replicalc.cli import _build_parser, _cmd_simulate
 
 OBS = Observation(5, 10)
 GRID = make_grid(11)
 REPORT = dict(p_value_gaussian=0.1, p_value_gaussian_at_null=0.1, p_value_exact_binomial=0.1,
-              posterior_null_tail=0.1, absolute_gap=0.0, direction=AT_OR_ABOVE, null_value=0.5)
-ASSESSMENT = dict(idealistic=0.5, reproducibility_q=0.5, realistic_lower=0.25,
-                  realistic_upper=0.5, ir_index_lower=0.5)
+              posterior_null_tail=0.1, direction=AT_OR_ABOVE, null_value=0.5)
 INSTABILITY = dict(true_p=0.5, trials_n=10, null_p=0.5, alpha=0.05, num_trials=10, seed=1)
+
+
+def _calibrate(flag, value):
+    """The ``simulate`` handler in calibration mode with one test flag set."""
+    args = _build_parser().parse_args(
+        ["simulate", "--num-trials", "10", "--seed", "1", flag, str(value)])
+    return _cmd_simulate(args)
+
 
 # (name in the message, call with the bad value in that argument)
 ENTRY_POINTS = [
@@ -59,12 +65,11 @@ ENTRY_POINTS = [
     *[(field, lambda v, field=field: ComparisonReport(**{**REPORT, field: v}))
       for field in ("p_value_gaussian", "p_value_gaussian_at_null", "p_value_exact_binomial",
                     "posterior_null_tail", "null_value")],
-    *[(field, lambda v, field=field: ReplicationAssessment(**{**ASSESSMENT, field: v}))
-      for field in ASSESSMENT],
+    ("idealistic", lambda v: ReplicationAssessment(v, 0.5)),
     ("idealistic", lambda v: realistic_bounds(v, 0.5)),
     ("q", lambda v: realistic_bounds(0.5, v)),
     ("realistic", lambda v: ir_index(v, 0.5)),
-    ("significance_null", lambda v: SimulationConfig(11, 10, 10, 1, significance_null=v)),
+    ("significance_null", lambda v: _calibrate("--significance-null", v)),
     ("null_p", lambda v: significance_boundary(10, v, 0.05)),
     ("true_p", lambda v: simulate_threshold_instability(**{**INSTABILITY, "true_p": v})),
     ("null_p", lambda v: simulate_threshold_instability(**{**INSTABILITY, "null_p": v})),
@@ -77,3 +82,11 @@ def test_outside_unit_interval_is_rejected(name, call, bad):
     with pytest.raises(InvalidArgumentError) as info:
         call(bad)
     assert str(info.value) == f"{name} must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_assessment_q_is_named_q(bad):
+    """ReplicationAssessment checks q through realistic_bounds, which names it q."""
+    with pytest.raises(InvalidArgumentError) as info:
+        ReplicationAssessment(0.5, bad)
+    assert str(info.value) == "q must lie in [0, 1]"

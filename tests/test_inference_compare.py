@@ -117,16 +117,19 @@ class TestGaussianPValue:
 
 class TestComparisonReport:
     def test_gap_consistency_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            ComparisonReport(
-                p_value_gaussian=0.02,
-                p_value_gaussian_at_null=0.02,
-                p_value_exact_binomial=0.03,
-                posterior_null_tail=0.02,
-                absolute_gap=0.5,  # wrong on purpose
-                direction=AT_OR_ABOVE,
-                null_value=0.404,
-            )
+        """The gap is derived from its operands, so it cannot be passed in."""
+        report = ComparisonReport(
+            p_value_gaussian=0.02,
+            p_value_gaussian_at_null=0.02,
+            p_value_exact_binomial=0.03,
+            posterior_null_tail=0.5,
+            direction=AT_OR_ABOVE,
+            null_value=0.404,
+        )
+        assert report.absolute_gap == abs(0.02 - 0.5)
+        with pytest.raises(TypeError):
+            ComparisonReport(0.02, 0.02, 0.03, 0.5, absolute_gap=0.5,  # wrong on purpose
+                             direction=AT_OR_ABOVE, null_value=0.404)
 
     def test_probability_bounds_enforced(self):
         with pytest.raises(InvalidArgumentError):
@@ -135,7 +138,6 @@ class TestComparisonReport:
                 p_value_gaussian_at_null=0.02,
                 p_value_exact_binomial=None,
                 posterior_null_tail=0.02,
-                absolute_gap=1.18,
                 direction=AT_OR_ABOVE,
                 null_value=0.404,
             )

@@ -6,6 +6,8 @@ Beta(r+1, n-r+1), with grid cells owning the half-spacing strip on each
 side of their point.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -182,6 +184,14 @@ class TestTwoHypothesisPosterior:
         assert two_hypothesis_posterior(obs, 0.0, 0.5) == 0.0
         with pytest.raises(DegenerateEvidenceError):
             two_hypothesis_posterior(obs, 0.0, 1.0)
+
+    def test_lopsided_evidence_saturates_silently(self):
+        """exp(log_b - log_a) overflows to inf; the posterior is 0 or 1, unwarned."""
+        obs = Observation(5000, 10000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert two_hypothesis_posterior(obs, 0.01, 0.5) == 0.0
+            assert two_hypothesis_posterior(obs, 0.5, 0.01) == 1.0
 
 
 class TestScalarBayes:

@@ -10,8 +10,6 @@ from replicalc import (
     RangeSpec,
     ReplicationAssessment,
     assess_replication,
-    assessment_from_idealistic,
-    idealistic_replication,
     ir_index,
     likelihood_curve,
     make_grid,
@@ -72,17 +70,12 @@ class TestIrIndex:
 
 class TestReplicationAssessment:
     def test_internal_consistency_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            ReplicationAssessment(
-                idealistic=0.95,
-                reproducibility_q=0.9,
-                realistic_lower=0.5,  # not q x idealistic
-                realistic_upper=0.95,
-                ir_index_lower=0.9,
-            )
+        """The bounds and the index are derived, so they cannot be passed in."""
+        with pytest.raises(TypeError):
+            ReplicationAssessment(0.95, 0.9, realistic_lower=0.5)  # not q x idealistic
 
     def test_from_idealistic(self):
-        a = assessment_from_idealistic(0.95, 0.9)
+        a = ReplicationAssessment(0.95, 0.9)
         assert a.idealistic == 0.95
         assert a.realistic_lower == 0.855
         assert a.realistic_upper == 0.95
@@ -90,21 +83,29 @@ class TestReplicationAssessment:
 
     def test_zero_idealistic(self):
         """Nothing to replicate: bounds collapse and the index floors."""
-        a = assessment_from_idealistic(0.0, 0.9)
+        a = ReplicationAssessment(0.0, 0.9)
         assert a.realistic_lower == a.realistic_upper == 0.0
         assert a.ir_index_lower == 0.0
+
+    def test_derived_fields_keep_their_place_in_the_repr(self):
+        """The derived fields print after the two inputs, in a fixed order."""
+        assert repr(ReplicationAssessment(0.95, 0.9)) == (
+            "ReplicationAssessment(idealistic=0.95, reproducibility_q=0.9, "
+            "realistic_lower=0.855, realistic_upper=0.95, "
+            f"ir_index_lower={0.855 / 0.95!r})"
+        )
 
 
 class TestIdealisticReplication:
     def test_is_range_probability(self, posterior):
         rng = RangeSpec(0.45, 1.0, lower_inclusive=False, upper_inclusive=True)
-        assert idealistic_replication(posterior, rng) == range_probability(
+        assert assess_replication(posterior, rng, q=0.9).idealistic == range_probability(
             posterior, rng)
 
     def test_headline_range(self, posterior):
         """Mass above 45 percent is roughly 0.87 for 50-of-99."""
         rng = RangeSpec(0.45, 1.0, lower_inclusive=False, upper_inclusive=True)
-        assert_allclose(idealistic_replication(posterior, rng), 0.8652,
+        assert_allclose(assess_replication(posterior, rng, q=1.0).idealistic, 0.8652,
                         rtol=0, atol=5e-4)
 
 

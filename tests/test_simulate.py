@@ -77,9 +77,6 @@ class TestSimulationConfig:
             SimulationConfig(grid_points=101, trials_n=99, num_trials=0, seed=1)
         with pytest.raises(InvalidArgumentError):
             SimulationConfig(grid_points=101, trials_n=99, num_trials=10, seed=-1)
-        with pytest.raises(InvalidArgumentError):
-            SimulationConfig(grid_points=101, trials_n=99, num_trials=10, seed=1,
-                             significance_alpha=1.5)
 
 
 class TestSimulateCalibration:

@@ -4,7 +4,8 @@ The saddle-point binomial kernel and the complementary error function are
 fixed rational/series approximations, so they are checked against
 independent oracles: the C library via ``math`` and scipy's vetted
 routines.  The binomial kernel is also pinned bit for bit to a frozen copy
-of its original broadcast-everything form.
+of its original broadcast-everything form, and at p = 0 and p = 1 to the
+hand-written edge values its callers used before it handled them itself.
 """
 
 import math
@@ -15,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from replicalc.grid_model import make_grid
+from replicalc.grid_model import Observation, make_grid
+from replicalc.likelihood import (
+    binomial_outcome_pmf,
+    binomial_pmf,
+    likelihood_curve,
+)
 from replicalc.special import (
     _LOG_TWO_PI,
     _bd0,
@@ -180,6 +186,68 @@ class TestKernelBitIdentity:
 
     def test_scalar_bd0_shape(self):
         _assert_same_bits(_bd0(1000.0, 1000.0), _frozen_bd0(1000.0, 1000.0))
+
+
+def _frozen_log_pmf_at(r, n, p_values):
+    """The old likelihood._log_pmf_at: the kernel on the grid interior only,
+    with p = 0 and p = 1 written by hand."""
+    out = np.full(p_values.shape, -np.inf)
+    interior = (p_values > 0.0) & (p_values < 1.0)
+    if np.any(interior):
+        out[interior] = _frozen_binomial_log_pmf(r, n, p_values[interior])
+    if r == 0:
+        out[p_values == 0.0] = 0.0
+    if r == n:
+        out[p_values == 1.0] = 0.0
+    return out
+
+
+def _frozen_degenerate_outcome_pmf(n, p):
+    """The old binomial_outcome_pmf branches for p = 0 and p = 1."""
+    out = np.zeros(n + 1)
+    out[0 if p == 0.0 else n] = 1.0
+    return out
+
+
+class TestDegenerateP:
+    """The kernel's own p = 0 and p = 1 give the bits the callers used to write.
+
+    Log values are compared with ``np.array_equal``: at p = 0, r = 0 the
+    kernel gives n x log1p(-0.0) = -0.0 where the old path wrote +0.0, and
+    both exponentiate to 1.0.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_count_and_trials(), st.integers(min_value=2, max_value=10_001))
+    def test_likelihood_curve_matches_frozen_edge_handling(self, rn, points):
+        r, n = rn
+        grid = make_grid(points)
+        expected = _frozen_log_pmf_at(r, n, grid.values)
+        got = _binomial_log_pmf(r, n, grid.values)
+        _assert_same_bits(got, expected)
+        with np.errstate(under="ignore"):
+            expected_values = np.exp(expected)
+        curve = likelihood_curve(Observation(r, n), grid)
+        assert curve.values.tobytes() == expected_values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=100_000),
+           st.sampled_from([0.0, -0.0, 1.0]))
+    def test_outcome_pmf_matches_frozen_branches(self, n, p):
+        got = binomial_outcome_pmf(n, p)
+        assert got.tobytes() == _frozen_degenerate_outcome_pmf(n, p).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_count_and_trials())
+    def test_negative_zero_is_zero(self, rn):
+        """p = -0.0 passes the [0, 1] check and must act exactly as p = 0."""
+        r, n = rn
+        _assert_same_bits(_binomial_log_pmf(r, n, np.array([-0.0, 0.5])),
+                          _frozen_log_pmf_at(r, n, np.array([0.0, 0.5])))
+
+    def test_binomial_pmf_at_negative_zero(self):
+        assert binomial_pmf(5, 10, -0.0) == 0.0
+        assert binomial_pmf(0, 10, -0.0) == 1.0
 
 
 class TestErfc:
