@@ -37,6 +37,7 @@ from .posterior import (
     AT_OR_BELOW,
     RangeSpec,
     normalize,
+    posterior_distribution,
     range_probability,
     replication_interval,
 )
@@ -287,7 +288,7 @@ def _cmd_replicate(args):
         if rng is not None and args.mass is not None:
             raise InvalidArgumentError("--range conflicts with --mass")
         obs = Observation(args.successes, args.trials)
-        dist = normalize(likelihood_curve(obs, make_grid(args.grid)))
+        dist = posterior_distribution(obs, make_grid(args.grid))
         if rng is None:
             rng = replication_interval(dist, args.mass)
             interval_payload = _range_payload(rng, range_probability(dist, rng))
@@ -315,7 +316,7 @@ def _cmd_replicate(args):
 
 def _cmd_interval(args):
     obs = Observation(args.successes, args.trials)
-    dist = normalize(likelihood_curve(obs, make_grid(args.grid)))
+    dist = posterior_distribution(obs, make_grid(args.grid))
     interval = replication_interval(dist, args.mass)
     row = {**_echo(interval, "lower", "upper"), "coverage": range_probability(dist, interval)}
     body = {**row, **_echo(interval, "lower_inclusive", "upper_inclusive")}
@@ -334,6 +335,8 @@ def _cmd_simulate(args):
             require_unit_interval(significance_null=args.significance_null)
         if args.significance_alpha is not None and not 0.0 < args.significance_alpha < 1.0:
             raise InvalidArgumentError("significance_alpha must lie in (0, 1)")
+        if args.true_p is not None:
+            require_unit_interval(true_p=args.true_p)
         report = simulate_calibration(config)
         columns = ("observed", "count", "qualifies", "max_deviation")
         cells = [

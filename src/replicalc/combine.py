@@ -93,10 +93,6 @@ def what_if_update(current: Curve, hypothetical: GaussianModel, grid: ParameterG
     Supports what-if analyses: widened sd models a sloppier future study,
     a shifted center models a systematically different setting.
     """
-    if current.grid.points != grid.points:
-        raise IncompatibleGridsError(
-            f"grids differ: {current.grid.points} vs {grid.points} points"
-        )
     return multiply_normalize(current, gaussian_likelihood_curve(hypothetical, grid))
 
 

@@ -20,6 +20,7 @@ from .likelihood import GaussianModel, binomial_outcome_pmf, gaussian_likelihood
 from .posterior import (
     AT_OR_ABOVE,
     AT_OR_BELOW,
+    _is_upper,
     normalize,
     posterior_distribution,
     tail_probability,
@@ -69,29 +70,21 @@ class ComparisonReport:
         )
         if self.p_value_exact_binomial is not None:
             require_unit_interval(p_value_exact_binomial=self.p_value_exact_binomial)
-        if self.direction not in (AT_OR_BELOW, AT_OR_ABOVE):
-            raise InvalidArgumentError(f"unknown direction: {self.direction!r}")
+        _is_upper(self.direction)  # rejects an unknown direction
         gap = abs(self.p_value_gaussian - self.posterior_null_tail)
         object.__setattr__(self, "absolute_gap", gap)
 
 
 def _opposite(direction: str) -> str:
-    if direction == AT_OR_ABOVE:
-        return AT_OR_BELOW
-    if direction == AT_OR_BELOW:
-        return AT_OR_ABOVE
-    raise InvalidArgumentError(f"unknown direction: {direction!r}")
+    return AT_OR_BELOW if _is_upper(direction) else AT_OR_ABOVE
 
 
 def exact_binomial_p_value(obs: Observation, null_p: float, direction: str) -> float:
     """Exact one-sided binomial tail: outcomes as or more extreme than r."""
     require_unit_interval(null_p=null_p)
     masses = binomial_outcome_pmf(obs.trials, null_p)
-    if direction == AT_OR_ABOVE:
-        return float(masses[obs.successes :].sum())
-    if direction == AT_OR_BELOW:
-        return float(masses[: obs.successes + 1].sum())
-    raise InvalidArgumentError(f"unknown direction: {direction!r}")
+    tail = masses[obs.successes :] if _is_upper(direction) else masses[: obs.successes + 1]
+    return float(tail.sum())
 
 
 def gaussian_p_value(
@@ -124,11 +117,7 @@ def gaussian_p_value(
 def _gaussian_tail(observed: float, null_value: float, sd: float, direction: str) -> float:
     """P(X as or more extreme than ``observed``) for X ~ N(null_value, sd)."""
     z = (observed - null_value) / sd
-    if direction == AT_OR_ABOVE:
-        return normal_cdf(-z)
-    if direction == AT_OR_BELOW:
-        return normal_cdf(z)
-    raise InvalidArgumentError(f"unknown direction: {direction!r}")
+    return normal_cdf(-z if _is_upper(direction) else z)
 
 
 def compare_p_and_posterior(

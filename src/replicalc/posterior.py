@@ -43,6 +43,13 @@ AT_OR_BELOW = "at_or_below"
 AT_OR_ABOVE = "at_or_above"
 
 
+def _is_upper(direction: str) -> bool:
+    """True for AT_OR_ABOVE, False for AT_OR_BELOW; the one place a direction is checked."""
+    if direction not in (AT_OR_BELOW, AT_OR_ABOVE):
+        raise InvalidArgumentError(f"unknown direction: {direction!r}")
+    return direction == AT_OR_ABOVE
+
+
 @dataclass(frozen=True)
 class RangeSpec:
     """A sub-range of [0, 1] with explicit endpoint inclusivity."""
@@ -98,13 +105,8 @@ def range_probability(dist: Curve, rng: RangeSpec) -> float:
 def tail_probability(dist: Curve, threshold: float, direction: str) -> float:
     """One-sided posterior mass at or beyond ``threshold``."""
     require_unit_interval(threshold=threshold)
-    if direction == AT_OR_BELOW:
-        rng = RangeSpec(0.0, threshold, True, True)
-    elif direction == AT_OR_ABOVE:
-        rng = RangeSpec(threshold, 1.0, True, True)
-    else:
-        raise InvalidArgumentError(f"unknown direction: {direction!r}")
-    return range_probability(dist, rng)
+    lower, upper = (threshold, 1.0) if _is_upper(direction) else (0.0, threshold)
+    return range_probability(dist, RangeSpec(lower, upper))
 
 
 def replication_interval(dist: Curve, mass: float) -> RangeSpec:
@@ -215,8 +217,6 @@ def binomial_identity_divergence(obs: Observation) -> float:
     absolute difference between the two vectors — small for central r,
     growing as the observation skews toward 0 or 1.
     """
-    n = obs.trials
-    grid = make_grid(n + 2)
-    posterior = normalize(likelihood_curve(obs, grid))
-    attributed = induced_outcome_attribution(binomial_outcome_pmf(n, obs.proportion))
+    posterior = posterior_distribution(obs, make_grid(obs.trials + 2))
+    attributed = induced_outcome_attribution(binomial_outcome_pmf(obs.trials, obs.proportion))
     return float(np.max(np.abs(posterior.values - attributed)))

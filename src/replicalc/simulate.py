@@ -4,9 +4,11 @@ Two experiments live here.  Calibration draws a true proportion uniformly
 from the grid, simulates a study at that proportion, and checks that the
 empirical distribution of the true proportion conditional on each observed
 count matches the analytic posterior — the sampling-model justification for
-reading normalized likelihoods as posterior probabilities.  Threshold
-instability simulates repeat studies at a fixed true proportion and reports
-how often they fail a significance test.
+reading normalized likelihoods as posterior probabilities; one binomial pmf
+table per run gives both the draw CDFs (row cumsums) and the analytic
+posteriors (normalized columns).  Threshold instability simulates repeat
+studies at a fixed true proportion and reports how often they fail a
+significance test.
 
 Randomness comes from the counter-based Philox generator keyed by
 ``(seed, stream id)``, with draw j of a stream always produced from counter
@@ -24,6 +26,7 @@ from numpy.random import Generator, Philox
 from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import make_grid
 from .likelihood import binomial_outcome_pmf
+from .special import _binomial_log_pmf
 
 __all__ = [
     "SimulationConfig",
@@ -115,28 +118,28 @@ def _chunk_bounds(total: int):
         yield start, min(start + _CHUNK, total)
 
 
-def _analytic_posterior_matrix(trials_n: int, grid_values: np.ndarray) -> np.ndarray:
-    """Row r holds the analytic posterior over grid points given count r."""
-    m = grid_values.size
-    likelihoods = np.empty((trials_n + 1, m))
-    for i in range(m):
-        likelihoods[:, i] = binomial_outcome_pmf(trials_n, grid_values[i])
-    return likelihoods / likelihoods.sum(axis=1, keepdims=True)
+def _outcome_tables(trials_n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """One pmf table read two ways: draw CDFs by grid index, analytic posteriors by count."""
+    p = make_grid(grid_points).values[:, None]
+    with np.errstate(under="ignore"):
+        table = np.exp(_binomial_log_pmf(np.arange(trials_n + 1), trials_n, p))
+    analytic = np.ascontiguousarray(table.T)
+    # Counts no grid point can produce give 0/0 rows; no trial populates them.
+    with np.errstate(invalid="ignore"):
+        analytic /= analytic.sum(axis=1, keepdims=True)
+    return np.cumsum(table, axis=1, out=table), analytic
 
 
 def _draw_counts(
-    u_true: np.ndarray, u_outcome: np.ndarray, grid_values: np.ndarray, trials_n: int
+    u_true: np.ndarray, u_outcome: np.ndarray, cdfs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms to (true grid index, observed count) for one chunk."""
-    m = grid_values.size
+    """Map one chunk's uniforms to (grid index, count); ``cdfs[i]`` is index i's outcome CDF."""
+    m, last = cdfs.shape[0], cdfs.shape[1] - 1
     idx = np.minimum((u_true * m).astype(np.int64), m - 1)
     observed = np.empty(idx.size, dtype=np.int64)
     for i in np.unique(idx):
         mask = idx == i
-        cdf = np.cumsum(binomial_outcome_pmf(trials_n, grid_values[i]))
-        observed[mask] = np.minimum(
-            np.searchsorted(cdf, u_outcome[mask], side="right"), trials_n
-        )
+        observed[mask] = np.minimum(np.searchsorted(cdfs[i], u_outcome[mask], side="right"), last)
     return idx, observed
 
 
@@ -148,13 +151,13 @@ def simulate_calibration(config: SimulationConfig) -> CalibrationReport:
     the binomial at that proportion via inverse-CDF lookup.  Identical
     configs produce identical reports.
     """
-    grid = make_grid(config.grid_points)
     n, m = config.trials_n, config.grid_points
+    cdfs, analytic = _outcome_tables(n, m)
     joint = np.zeros((n + 1, m), dtype=np.int64)
     for start, stop in _chunk_bounds(config.num_trials):
         u_true = stream_uniforms(config.seed, _STREAM_TRUE_P, stop - start, offset=start)
         u_outcome = stream_uniforms(config.seed, _STREAM_OUTCOME, stop - start, offset=start)
-        idx, observed = _draw_counts(u_true, u_outcome, grid.values, n)
+        idx, observed = _draw_counts(u_true, u_outcome, cdfs)
         flat = np.bincount(observed * m + idx, minlength=(n + 1) * m)
         joint += flat.reshape(n + 1, m)
 
@@ -163,7 +166,6 @@ def simulate_calibration(config: SimulationConfig) -> CalibrationReport:
     populated = counts > 0
     conditionals[populated] = joint[populated] / counts[populated, None]
 
-    analytic = _analytic_posterior_matrix(n, grid.values)
     per_cell = np.full(n + 1, np.nan)
     per_cell[populated] = np.max(np.abs(conditionals[populated] - analytic[populated]), axis=1)
 

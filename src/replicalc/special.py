@@ -109,15 +109,15 @@ def _binomial_log_pmf(x, n: int, p):
 
     ``x`` is a scalar or integer-valued array in [0, n] and ``p`` a scalar
     or array in [0, 1]; the result is an ndarray of their broadcast shape
-    (at least 1-d).  Callers pass one of the two as a scalar: a likelihood
-    curve is one count x over an array of grid points, an outcome pmf is an
-    array of counts at one p.  Terms that depend only on x are evaluated on
-    x's own shape and terms that depend only on p on p's shape, so neither
-    is repeated across the other's size; only the two deviance terms and
-    the final sum are broadcast.  The operation order is fixed, so a term
-    evaluated once gives the same bits as the same term evaluated per grid
-    point.  Degenerate p is exact through log 0 = -inf: every impossible
-    outcome gets -inf and the one possible outcome gets 0.
+    (at least 1-d): one count over grid points is a likelihood curve, counts
+    at one p an outcome pmf, and counts (k,) against p (m, 1) an (m, k)
+    outcome table whose row i is the pmf at p[i].  Terms that depend only
+    on x are evaluated on x's shape and terms that depend only on p on p's,
+    so neither is repeated across the other's size; only the deviance terms
+    and the final sum are broadcast.  Every step is elementwise in a fixed
+    order, so an entry's bits do not depend on the shapes around it (a
+    table row equals the pmf at that p alone).  Degenerate p is exact through
+    log 0 = -inf: every impossible outcome gets -inf and the possible one 0.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     # + 0.0 turns p = -0.0 into +0.0 and leaves every other value unchanged;

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err == "error: significance_alpha must lie in (0, 1)\n"
+
+    def test_calibration_with_unreachable_counts_is_silent(self, capsys):
+        """Most counts are unreachable on a 5-point grid at 10^4 trials; the
+        run writes nothing to stderr (a numpy warning would be an error here)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, ["simulate", "--num-trials", "1000", "--seed", "1",
+                                             "--grid-points", "5", "--trials-n", "10000"])
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["populated_cells"] > 0
 
     def test_negative_zero_null_acts_as_zero(self, capsys):
         """--significance-null -0.0 passes the [0, 1] check and locates the

@@ -141,6 +141,12 @@ class TestWhatIfUpdate:
         updated = what_if_update(current, GaussianModel(0.53, 0.04), grid)
         assert updated.values.max() > current.values.max()
 
+    def test_grid_mismatch_rejected(self):
+        current = uniform_distribution(make_grid(11))
+        with pytest.raises(IncompatibleGridsError) as info:
+            what_if_update(current, GaussianModel(0.5, 0.1), make_grid(21))
+        assert str(info.value) == "grids differ: 11 vs 21 points"
+
 
 class TestParseStudies:
     def test_basic_lines(self):

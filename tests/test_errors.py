@@ -1,7 +1,9 @@
-"""Tests for the shared [0, 1] argument check.
+"""Tests for the shared argument checks.
 
 Every public entry point that takes a probability or proportion rejects
-NaN and values outside [0, 1] with ``"<name> must lie in [0, 1]"``.
+NaN and values outside [0, 1] with ``"<name> must lie in [0, 1]"``, and
+every one that takes a tail direction rejects an unknown one with
+``"unknown direction: <repr>"``.
 """
 
 import math
@@ -70,6 +72,8 @@ ENTRY_POINTS = [
     ("q", lambda v: realistic_bounds(0.5, v)),
     ("realistic", lambda v: ir_index(v, 0.5)),
     ("significance_null", lambda v: _calibrate("--significance-null", v)),
+    # Its own id, so the instability entry's true_p id stays unnumbered.
+    pytest.param("true_p", lambda v: _calibrate("--true-p", v), id="true_p-calibration"),
     ("null_p", lambda v: significance_boundary(10, v, 0.05)),
     ("true_p", lambda v: simulate_threshold_instability(**{**INSTABILITY, "true_p": v})),
     ("null_p", lambda v: simulate_threshold_instability(**{**INSTABILITY, "null_p": v})),
@@ -82,6 +86,24 @@ def test_outside_unit_interval_is_rejected(name, call, bad):
     with pytest.raises(InvalidArgumentError) as info:
         call(bad)
     assert str(info.value) == f"{name} must lie in [0, 1]"
+
+
+# Every entry point that takes a direction, called with the given direction.
+DIRECTION_ENTRY_POINTS = [
+    lambda d: tail_probability(posterior_distribution(OBS, GRID), 0.5, d),
+    lambda d: exact_binomial_p_value(OBS, 0.5, d),
+    lambda d: gaussian_p_value(OBS, 0.5, d),
+    lambda d: compare_p_and_posterior(OBS, 0.5, GRID, d),
+    lambda d: gaussian_model_comparison(GaussianModel(0.5, 0.1), 0.5, GRID, d),
+    lambda d: ComparisonReport(**{**REPORT, "direction": d}),
+]
+
+
+@pytest.mark.parametrize("call", DIRECTION_ENTRY_POINTS)
+def test_unknown_direction_is_rejected(call):
+    with pytest.raises(InvalidArgumentError) as info:
+        call("sideways")
+    assert str(info.value) == "unknown direction: 'sideways'"
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])

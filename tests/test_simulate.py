@@ -3,24 +3,33 @@
 The keyed counter-based streams make every simulation a pure function of
 (seed, stream, index), which the tests exploit: chunked generation must be
 bit-identical to whole-stream generation, and repeat runs must agree to
-the last bit.
+the last bit.  The calibration's shared outcome table is pinned bit for bit
+to frozen copies of the per-grid-point code it replaced, and fixed-seed
+outputs are pinned by sha256 digests.
 """
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from replicalc import (
     InvalidArgumentError,
+    Observation,
     SimulationConfig,
     make_grid,
+    posterior_distribution,
     significance_boundary,
     simulate_calibration,
     simulate_threshold_instability,
     stream_uniforms,
 )
 from replicalc.likelihood import binomial_outcome_pmf
-from replicalc.simulate import _analytic_posterior_matrix
+from replicalc.simulate import _draw_counts, _outcome_tables
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +120,9 @@ class TestSimulateCalibration:
         three binomial standard errors of the analytic posterior (standard
         error taken at the cell's largest posterior probability)."""
         report = calibration_1m
-        analytic = _analytic_posterior_matrix(99, make_grid(101).values)
+        grid = make_grid(101)
         for r in np.nonzero(report.qualifying)[0]:
-            peak = analytic[r].max()
+            peak = posterior_distribution(Observation(int(r), 99), grid).values.max()
             se = np.sqrt(peak * (1.0 - peak) / report.counts[r])
             assert report.per_cell_deviation[r] <= 3.0 * se
 
@@ -144,6 +153,107 @@ class TestSimulateCalibration:
         assert np.array_equal(report.qualifying,
                               report.counts >= report.min_cell_count)
         assert report.min_cell_count == 1000
+
+    def test_unreachable_counts_raise_no_warning(self):
+        """On a 5-point grid most of the 10^4 + 1 counts have zero likelihood
+        at every grid value; their 0/0 analytic rows must stay silent."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = simulate_calibration(SimulationConfig(5, 10000, 1000, 1))
+        assert report.counts.sum() == 1000
+        assert np.all(np.isfinite(report.per_cell_deviation[report.populated_cells]))
+
+
+def _frozen_analytic_posterior_matrix(trials_n, grid_values):
+    """The old analytic matrix: one outcome pmf per grid point, as columns."""
+    m = grid_values.size
+    likelihoods = np.empty((trials_n + 1, m))
+    for i in range(m):
+        likelihoods[:, i] = binomial_outcome_pmf(trials_n, grid_values[i])
+    with np.errstate(invalid="ignore"):
+        return likelihoods / likelihoods.sum(axis=1, keepdims=True)
+
+
+def _frozen_draw_counts(u_true, u_outcome, grid_values, trials_n):
+    """The old draw: each grid index's CDF rebuilt from its own outcome pmf."""
+    m = grid_values.size
+    idx = np.minimum((u_true * m).astype(np.int64), m - 1)
+    observed = np.empty(idx.size, dtype=np.int64)
+    for i in np.unique(idx):
+        mask = idx == i
+        cdf = np.cumsum(binomial_outcome_pmf(trials_n, grid_values[i]))
+        observed[mask] = np.minimum(
+            np.searchsorted(cdf, u_outcome[mask], side="right"), trials_n
+        )
+    return idx, observed
+
+
+class TestOutcomeTableBitIdentity:
+    """The one outcome table gives the bits of the per-grid-point code."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=2, max_value=400), st.integers(min_value=1, max_value=3000),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(2, 1, 0)
+    @example(101, 1, 0)
+    def test_matches_frozen_per_row_code(self, m, n, seed):
+        grid_values = make_grid(m).values
+        cdfs, analytic = _outcome_tables(n, m)
+        expected = _frozen_analytic_posterior_matrix(n, grid_values)
+        assert analytic.shape == expected.shape
+        assert analytic.tobytes() == expected.tobytes()
+
+        rng = np.random.default_rng(seed)
+        # The largest double below 1 can exceed cdf[-1] < 1: the clamp case.
+        u_true = np.append(rng.random(500), [0.0, 1.0 - 2.0**-53])
+        u_outcome = np.append(rng.random(500), [1.0 - 2.0**-53, 1.0 - 2.0**-53])
+        got_idx, got_observed = _draw_counts(u_true, u_outcome, cdfs)
+        want_idx, want_observed = _frozen_draw_counts(u_true, u_outcome, grid_values, n)
+        assert got_idx.tobytes() == want_idx.tobytes()
+        assert got_observed.tobytes() == want_observed.tobytes()
+
+
+def _calibration_digest(report):
+    h = hashlib.sha256()
+    for array in (report.counts, report.conditionals, report.per_cell_deviation):
+        h.update(array.tobytes())
+    h.update(repr(report.max_abs_deviation).encode())
+    return h.hexdigest()
+
+
+def _repr_digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestDigestGuard:
+    """Fixed-seed Monte Carlo outputs, pinned byte for byte.
+
+    The digests were recorded before calibration shared one outcome table;
+    any change to the draw, the analytic posterior or the boundary search
+    that moves a single bit shows here.
+    """
+
+    def test_headline_calibration(self, calibration_1m):
+        assert _calibration_digest(calibration_1m) == (
+            "baebea4f8ed8a45ce6de4ae37eced0e83dba7fe7cbdd93d3a2484437ccb1b69e")
+
+    @pytest.mark.parametrize("config, digest", [
+        ((1001, 99, 2**18, 7),
+         "e41528333e0463c3abde5c0b3cdc08bbb832d890248fb2811f572ff53af8b2f0"),
+        ((11, 20, 2000, 3),
+         "b0fbab0b2c74433ba05563c30e93cab185127a380274e81e7d005056bc41582c"),
+    ])
+    def test_calibration(self, config, digest):
+        report = simulate_calibration(SimulationConfig(*config))
+        assert _calibration_digest(report) == digest
+
+    def test_boundary_and_instability(self):
+        boundary = significance_boundary(10**4, 0.404, 0.05)
+        assert _repr_digest(boundary) == (
+            "8fe092417c389c334cb833b5dddc141da8f916107729b0c8c676bed3f758bd9b")
+        fraction = simulate_threshold_instability(boundary[1], 10**4, 0.404, 0.05, 10**5, 7)
+        assert _repr_digest(fraction) == (
+            "e220b6ea6979785d62ec9fd48d3dd1bfb106a2c60c975f6c2910e5739d74428b")
 
 
 class TestSignificanceBoundary:

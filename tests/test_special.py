@@ -184,6 +184,18 @@ class TestKernelBitIdentity:
         _assert_same_bits(_binomial_log_pmf(k, n, p),
                           _frozen_binomial_log_pmf(k, n, p))
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=3, max_value=200))
+    def test_outcome_table_rows_match_per_row_kernel(self, n, points):
+        """Counts (n + 1,) against grid p (m, 1): row i has the bits of the
+        pmf at p[i] alone, the frozen kernel's on the grid interior."""
+        k = np.arange(n + 1)
+        p = make_grid(points).values
+        table = _binomial_log_pmf(k, n, p[:, None])
+        _assert_same_bits(table, np.stack([_binomial_log_pmf(k, n, v) for v in p]))
+        _assert_same_bits(table[1:-1],
+                          np.stack([_frozen_binomial_log_pmf(k, n, v) for v in p[1:-1]]))
+
     def test_scalar_bd0_shape(self):
         _assert_same_bits(_bd0(1000.0, 1000.0), _frozen_bd0(1000.0, 1000.0))
 
