@@ -12,7 +12,6 @@ from .errors import (
     ContradictoryEvidenceError,
     DegenerateEvidenceError,
     IncompatibleGridsError,
-    InconsistentInputsError,
     InvalidArgumentError,
     ReplicalcError,
 )
@@ -22,7 +21,6 @@ from .grid_model import (
     Curve,
     Observation,
     ParameterGrid,
-    induced_pair,
     make_grid,
     prior_per_point,
     uniform_distribution,
@@ -46,7 +44,6 @@ from .posterior import (
     range_probability,
     replication_interval,
     rescale_grid,
-    scalar_bayes,
     tail_probability,
     two_hypothesis_posterior,
 )
@@ -81,7 +78,7 @@ from .simulate import (
     simulate_threshold_instability,
     stream_uniforms,
 )
-from .figures import FigureDataset, build_figure, dataset_from_csv, dataset_to_csv
+from .figures import FigureDataset, build_figure
 
 __version__ = "0.1.0"
 
@@ -97,7 +94,6 @@ __all__ = [
     "FigureDataset",
     "GaussianModel",
     "IncompatibleGridsError",
-    "InconsistentInputsError",
     "InvalidArgumentError",
     "LIKELIHOOD",
     "Observation",
@@ -115,14 +111,11 @@ __all__ = [
     "binomial_pmf",
     "build_figure",
     "compare_p_and_posterior",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "exact_binomial_p_value",
     "gaussian_likelihood_curve",
     "gaussian_model_comparison",
     "gaussian_p_value",
     "induced_outcome_attribution",
-    "induced_pair",
     "ir_index",
     "likelihood_curve",
     "likelihood_sum",
@@ -138,7 +131,6 @@ __all__ = [
     "realistic_bounds",
     "replication_interval",
     "rescale_grid",
-    "scalar_bayes",
     "significance_boundary",
     "simulate_calibration",
     "simulate_threshold_instability",

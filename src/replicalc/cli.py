@@ -291,8 +291,9 @@ def _cmd_replicate(args):
         dist = posterior_distribution(obs, make_grid(args.grid))
         if rng is None:
             rng = replication_interval(dist, args.mass)
-            interval_payload = _range_payload(rng, range_probability(dist, rng))
         idealistic = range_probability(dist, rng)
+        if args.mass is not None:
+            interval_payload = _range_payload(rng, idealistic)
         source = "posterior"
     assessment = ReplicationAssessment(idealistic, args.q)
     row = {

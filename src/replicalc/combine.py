@@ -54,7 +54,8 @@ def multiply_normalize(prior: Curve, likelihood: Curve) -> Curve:
     """Pointwise product of prior and likelihood, renormalized to sum 1.
 
     The product is formed as a sum of logs with the maximum subtracted
-    before exponentiation, so pooling many studies cannot underflow.
+    before exponentiation, so the product does not underflow; its inputs,
+    in linear scale, can (see :func:`pool_studies`).
     """
     if prior.kind != DISTRIBUTION:
         raise InvalidArgumentError("multiply_normalize expects a distribution prior")
@@ -76,7 +77,10 @@ def pool_studies(studies, grid: ParameterGrid) -> Curve:
     """Sequentially update a uniform prior with each study's likelihood.
 
     Equals the posterior of the summed counts (sum r, sum n) on the same
-    grid, because the binomial likelihood product telescopes.
+    grid in exact arithmetic, because the binomial likelihood product
+    telescopes.  Not when studies disagree strongly: each curve is 0 far
+    from its peak, so on 10001 points 4116/17069 with 53/4602 lands 0.114
+    away, and 0/2000 with 2000/2000 raises ContradictoryEvidenceError.
     """
     studies = list(studies)
     if not studies:

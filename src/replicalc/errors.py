@@ -27,10 +27,6 @@ class ContradictoryEvidenceError(ReplicalcError):
     """A pointwise product of curves vanished everywhere."""
 
 
-class InconsistentInputsError(ReplicalcError):
-    """Scalar inputs that are individually valid but jointly impossible."""
-
-
 def require_unit_interval(**values: float) -> None:
     """Raise ``InvalidArgumentError("<name> must lie in [0, 1]")`` for the
     first keyword value, in the order given, outside [0, 1] or NaN."""

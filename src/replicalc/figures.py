@@ -1,7 +1,7 @@
 """Reference figure datasets: the worked 50/99 example end to end.
 
-Each builder returns a plain table (no rendering) that any plotting tool
-can consume:
+``render_csv`` writes every CSV output of the CLI, these tables included.
+Each figure is returned as a plain table that any plotting tool can consume:
 
 * ``fig2`` — the 101-point posterior for 50/99 next to the binomial
   distribution of outcomes from a population at 50/99, attributed to grid
@@ -35,8 +35,6 @@ __all__ = [
     "FIGURE_IDS",
     "FigureDataset",
     "build_figure",
-    "dataset_to_csv",
-    "dataset_from_csv",
     "render_csv",
 ]
 
@@ -141,18 +139,3 @@ def render_csv(columns, rows) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_csv_field(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def dataset_to_csv(dataset: FigureDataset) -> str:
-    """Render a dataset as CSV with shortest-round-trip float formatting."""
-    return render_csv(dataset.columns, dataset.rows.tolist())
-
-
-def dataset_from_csv(figure_id: str, text: str) -> FigureDataset:
-    """Parse CSV produced by :func:`dataset_to_csv` back into a dataset."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise InvalidArgumentError("empty figure CSV")
-    columns = tuple(lines[0].split(","))
-    rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
-    return FigureDataset(figure_id=figure_id, columns=columns, rows=np.asarray(rows))

@@ -23,7 +23,6 @@ __all__ = [
     "DISTRIBUTION",
     "make_grid",
     "prior_per_point",
-    "induced_pair",
     "uniform_distribution",
 ]
 
@@ -137,13 +136,6 @@ def prior_per_point(grid: ParameterGrid) -> float:
     themselves: a 101-point grid has 100 spaces of prior mass 0.01 each.
     """
     return 1.0 / grid.intervals
-
-
-def induced_pair(obs: Observation) -> tuple[float, float]:
-    """Pair (r/(n+1), (r+1)/(n+1)) bounding the predicted probability
-    that a new member added to the observed set has the attribute."""
-    n_plus = obs.trials + 1
-    return (obs.successes / n_plus, (obs.successes + 1) / n_plus)
 
 
 def uniform_distribution(grid: ParameterGrid) -> Curve:

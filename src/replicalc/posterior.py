@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DegenerateEvidenceError,
-    InconsistentInputsError,
     InvalidArgumentError,
     require_unit_interval,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "tail_probability",
     "replication_interval",
     "two_hypothesis_posterior",
-    "scalar_bayes",
     "rescale_grid",
     "induced_outcome_attribution",
     "binomial_identity_divergence",
@@ -147,19 +145,6 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
         return 1.0
     with np.errstate(over="ignore"):  # lopsided evidence saturates at 0 or 1
         return float(1.0 / (1.0 + np.exp(log_b - log_a)))
-
-
-def scalar_bayes(prior: float, likelihood: float, marginal: float) -> float:
-    """Plain scalar Bayes rule: prior x likelihood / marginal."""
-    require_unit_interval(prior=prior, likelihood=likelihood, marginal=marginal)
-    if marginal == 0.0:
-        raise InvalidArgumentError("marginal must be positive")
-    result = prior * likelihood / marginal
-    if result > 1.0 + 1e-12:
-        raise InconsistentInputsError(
-            "prior x likelihood exceeds the marginal; inputs are jointly impossible"
-        )
-    return min(result, 1.0)
 
 
 def _cell_edges(grid: ParameterGrid) -> np.ndarray:

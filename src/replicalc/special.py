@@ -287,7 +287,9 @@ def erfc(x):
 
 
 def normal_cdf(z):
-    """Standard normal CDF via erfc; accurate to ~1e-15 relative."""
+    """Standard normal CDF via erfc.  Relative error is about 2e-16 for
+    z >= -0.5; in the lower tail it grows at most as z**2 * 2e-16, to
+    1.9e-13 (about 1000 ulp) on [-37.5, -20] against 200-bit mpmath."""
     arr = np.asarray(z, dtype=float)
     out = 0.5 * erfc(-arr * _SQRT_HALF)
     if np.isscalar(z) or np.ndim(z) == 0:

@@ -1,15 +1,17 @@
 """Tests for the command-line interface.
 
 Most tests invoke ``replicalc.cli.run`` in process for speed and capture
-stdout/stderr through pytest; a single subprocess test checks the
-installed entry points end to end.
+stdout/stderr through pytest; subprocess tests run the module as a
+script and check the installed entry points end to end.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +381,19 @@ class TestOutputHandling:
         _, first, _ = invoke(capsys, argv)
         _, second, _ = invoke(capsys, argv)
         assert first == second
+
+    def test_module_runs_as_script(self, capsys):
+        """``python -m replicalc.cli`` prints what ``run`` prints and exits with its code."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = ["interval", "--successes", "50", "--trials", "99", "--mass", "0.95"]
+        script = subprocess.run([sys.executable, "-m", "replicalc.cli", *argv],
+                                capture_output=True, text=True, env=env)
+        assert (script.returncode, script.stderr) == (0, "")
+        assert script.stdout == invoke(capsys, argv)[1]
+        bad = subprocess.run([sys.executable, "-m", "replicalc.cli", "interval", "--bogus"],
+                             capture_output=True, text=True, env=env)
+        assert bad.returncode == 2
+        assert "Traceback" not in bad.stderr
 
     def test_installed_entry_points(self):
         """Both the console script and python -m invocation work."""

@@ -27,7 +27,6 @@ from replicalc import (
     make_grid,
     posterior_distribution,
     realistic_bounds,
-    scalar_bayes,
     significance_boundary,
     simulate_threshold_instability,
     tail_probability,
@@ -56,9 +55,6 @@ ENTRY_POINTS = [
     ("threshold", lambda v: tail_probability(posterior_distribution(OBS, GRID), v, AT_OR_ABOVE)),
     ("p_a", lambda v: two_hypothesis_posterior(OBS, v, 0.5)),
     ("p_b", lambda v: two_hypothesis_posterior(OBS, 0.5, v)),
-    ("prior", lambda v: scalar_bayes(v, 0.5, 0.5)),
-    ("likelihood", lambda v: scalar_bayes(0.5, v, 0.5)),
-    ("marginal", lambda v: scalar_bayes(0.5, 0.5, v)),
     ("null_p", lambda v: exact_binomial_p_value(OBS, v, AT_OR_ABOVE)),
     ("null_p", lambda v: gaussian_p_value(OBS, v, AT_OR_ABOVE)),
     ("null_p", lambda v: compare_p_and_posterior(OBS, v, GRID, AT_OR_ABOVE)),

@@ -9,8 +9,6 @@ from replicalc.figures import (
     FIGURE_IDS,
     FigureDataset,
     build_figure,
-    dataset_from_csv,
-    dataset_to_csv,
 )
 
 
@@ -119,15 +117,3 @@ class TestDatasetPlumbing:
         dataset = build_figure("fig2")
         with pytest.raises((ValueError, RuntimeError)):
             dataset.rows[0, 0] = 0.5
-
-    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
-    def test_csv_round_trip(self, figure_id):
-        """repr-formatted floats reparse to bit-identical rows."""
-        dataset = build_figure(figure_id)
-        restored = dataset_from_csv(figure_id, dataset_to_csv(dataset))
-        assert restored.columns == dataset.columns
-        assert np.array_equal(restored.rows, dataset.rows)
-
-    def test_empty_csv_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            dataset_from_csv("fig2", "")

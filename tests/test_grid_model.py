@@ -10,7 +10,6 @@ from replicalc import (
     Curve,
     InvalidArgumentError,
     Observation,
-    induced_pair,
     make_grid,
     prior_per_point,
     uniform_distribution,
@@ -87,30 +86,6 @@ class TestPriorPerPoint:
     ])
     def test_examples(self, m_points, expected):
         assert prior_per_point(make_grid(m_points)) == expected
-
-
-class TestInducedPair:
-    """After r successes in n trials the next-draw probability sits in
-    (r/(n+1), (r+1)/(n+1))."""
-
-    @pytest.mark.parametrize("r, n, lower, upper", [
-        (50, 99, 0.5, 0.51),
-        (0, 99, 0.0, 0.01),
-        (9, 9, 0.9, 1.0),
-    ])
-    def test_examples(self, r, n, lower, upper):
-        got = induced_pair(Observation(r, n))
-        assert_allclose(got, (lower, upper), rtol=0, atol=1e-15)
-
-    def test_width(self):
-        """The pair always spans exactly 1/(n+1)."""
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(1, 1000))
-            r = int(rng.integers(0, n + 1))
-            lo, hi = induced_pair(Observation(r, n))
-            assert_allclose(hi - lo, 1.0 / (n + 1), rtol=1e-12)
-            assert 0.0 <= lo < hi <= 1.0
 
 
 class TestCurve:

@@ -19,7 +19,6 @@ from replicalc import (
     AT_OR_BELOW,
     Curve,
     DegenerateEvidenceError,
-    InconsistentInputsError,
     InvalidArgumentError,
     Observation,
     RangeSpec,
@@ -33,7 +32,6 @@ from replicalc import (
     range_probability,
     rescale_grid,
     replication_interval,
-    scalar_bayes,
     tail_probability,
     two_hypothesis_posterior,
     uniform_distribution,
@@ -192,24 +190,6 @@ class TestTwoHypothesisPosterior:
             warnings.simplefilter("error")
             assert two_hypothesis_posterior(obs, 0.01, 0.5) == 0.0
             assert two_hypothesis_posterior(obs, 0.5, 0.01) == 1.0
-
-
-class TestScalarBayes:
-    def test_worked_example(self):
-        got = scalar_bayes(prior=0.073, likelihood=0.480, marginal=0.475)
-        assert_allclose(got, 0.073 * 0.480 / 0.475, rtol=1e-15)
-        assert_allclose(got, 0.0738, rtol=0, atol=5e-5)
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            scalar_bayes(0.5, 0.5, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            scalar_bayes(1.5, 0.5, 0.5)
-        with pytest.raises(InconsistentInputsError):
-            scalar_bayes(0.9, 0.9, 0.1)
-
-    def test_clamped_to_one(self):
-        assert scalar_bayes(0.8, 1.0, 0.8) == 1.0
 
 
 class TestReplicationInterval:
