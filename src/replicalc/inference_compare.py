@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InvalidArgumentError, require_unit_interval
-from .grid_model import Curve, Observation, ParameterGrid
+from .grid_model import Observation, ParameterGrid
 from .likelihood import GaussianModel, binomial_outcome_pmf, gaussian_likelihood_curve
 from .posterior import (
     AT_OR_ABOVE,

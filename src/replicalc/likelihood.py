@@ -30,6 +30,16 @@ __all__ = [
 
 _LOG_TWO_PI = 1.8378770664093454835606594728112353
 
+# Grid points per kernel call when a likelihood curve is built in blocks.
+_BLOCK = 1 << 16
+# Grids of at most this many points take one kernel call.  On a 2-core Xeon
+# with 2 MiB of L2 per core, one call beat blocks by 13-69% up to 65,537
+# points and tied with them up to 105,001; blocks won by 14-24% from
+# 110,001 points on, once one call's temporaries outgrow the cache.
+_ONE_CALL_MAX = 107_000
+# A block whose peak log mass is below this holds only exp() == 0.0 cells.
+_ZERO_LOG = -760.0
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -69,10 +79,31 @@ def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
 
 
 def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
-    """Binomial likelihood of the observation at every grid point."""
-    log_mass = _binomial_log_pmf(obs.successes, obs.trials, grid.values)
-    with np.errstate(under="ignore"):
-        values = np.exp(log_mass)
+    """Binomial likelihood of the observation at every grid point.
+
+    A grid of more than ``_ONE_CALL_MAX`` points is filled block by block,
+    so the kernel's temporaries stay cache-sized.  The log mass is concave
+    in p with its maximum at r/n, so a block peaks at its point nearest
+    r/n; one kernel call evaluates those peaks first, and a block whose
+    peak is below ``_ZERO_LOG`` is left at 0.0.  The result is
+    bit-identical to one call over the whole grid: the kernel is
+    elementwise, and a skipped block's values exceed its peak by at most
+    twice the kernel's absolute error (about 1e-11 at n = 10^5), so they
+    lie far below -745.13, under which ``exp`` already gives 0.0.
+    """
+    r, n, p = obs.successes, obs.trials, grid.values
+    if p.size <= _ONE_CALL_MAX:
+        with np.errstate(under="ignore"):
+            values = np.exp(_binomial_log_pmf(r, n, p))
+        return Curve(grid=grid, values=values, kind=LIKELIHOOD)
+    starts = np.arange(0, p.size, _BLOCK)
+    stops = np.minimum(starts + _BLOCK, p.size)
+    peaks = _binomial_log_pmf(r, n, np.clip(r / n, p[starts], p[stops - 1]))
+    values = np.zeros(p.size)
+    for start, stop, peak in zip(starts, stops, peaks):
+        if peak >= _ZERO_LOG:
+            with np.errstate(under="ignore"):
+                np.exp(_binomial_log_pmf(r, n, p[start:stop]), out=values[start:stop])
     return Curve(grid=grid, values=values, kind=LIKELIHOOD)
 
 

@@ -1,9 +1,11 @@
 """Deterministic special functions used by the statistical kernels.
 
 The package evaluates binomial point masses and Gaussian tails through its
-own fixed-coefficient routines rather than platform ``libm`` wrappers, so
-that emitted numbers are bit-identical across operating systems and C
-libraries.  Two classic, published approximations are used:
+own fixed-coefficient routines rather than ``lgamma`` or ``erf``.  They
+still call numpy's ``exp``, ``log`` and ``log1p``, whose last bits depend
+on the numpy version and on the SIMD code path it dispatches to on the
+CPU, so emitted numbers are bit-identical only for one numpy build on one
+kind of CPU.  Two classic, published approximations are used:
 
 * ``erfc`` / ``normal_cdf`` — Cody's rational Chebyshev approximations for
   the error function (three regimes, relative error near machine epsilon).
@@ -15,8 +17,7 @@ libraries.  Two classic, published approximations are used:
   and is exact at p = 0 and p = 1, so no caller special-cases them.
 
 All routines accept scalars or numpy arrays and never call into
-``math.lgamma`` or ``math.erf``, which may differ in the last bits between
-platforms.
+``math.lgamma`` or ``math.erf``.
 """
 
 from __future__ import annotations

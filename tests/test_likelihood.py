@@ -2,12 +2,20 @@
 
 scipy.stats.binom serves as the oracle for pointwise probability masses;
 structural identities (reflection, completeness) guard the log-space
-evaluation path on its own terms.
+evaluation path on its own terms.  Curves on grids large enough to be built
+in blocks are checked bit for bit against one kernel call over the grid.
 """
+
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from replicalc import (
@@ -17,11 +25,13 @@ from replicalc import (
     binomial_outcome_pmf,
     binomial_pmf,
     gaussian_likelihood_curve,
+    likelihood,
     likelihood_curve,
     likelihood_sum,
     make_grid,
     normalize,
 )
+from replicalc.special import _binomial_log_pmf
 
 
 class TestBinomialPmf:
@@ -36,6 +46,8 @@ class TestBinomialPmf:
         assert_allclose(binomial_pmf(50, 99, 0.59), 0.01869964989356, rtol=1e-10)
 
     def test_matches_scipy(self):
+        import scipy.stats  # imported here: the no-AVX-512 rerun below need not pay for it
+
         # In deep tails at large n scipy's own lgamma-difference evaluation
         # drifts by a few 1e-12 relative, which dominates this comparison.
         rng = np.random.default_rng(314)
@@ -88,6 +100,8 @@ class TestBinomialOutcomePmf:
         assert list(masses) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_matches_scipy_vector(self):
+        import scipy.stats
+
         n, p = 99, 0.404
         assert_allclose(binomial_outcome_pmf(n, p),
                         scipy.stats.binom.pmf(np.arange(n + 1), n, p),
@@ -114,6 +128,79 @@ class TestLikelihoodCurve:
         assert zeros.values[0] == 1.0  # p = 0 explains 0-of-9 perfectly
         full = likelihood_curve(Observation(9, 9), grid)
         assert full.values[-1] == 1.0
+
+
+@lru_cache(maxsize=None)
+def _grid(points):
+    return make_grid(points)
+
+
+def _single_call_curve(obs, grid):
+    """``likelihood_curve``'s values as one kernel call over the whole grid."""
+    with np.errstate(under="ignore"):
+        return np.exp(_binomial_log_pmf(obs.successes, obs.trials, grid.values))
+
+
+@st.composite
+def _observations(draw):
+    """n up to 3*10^5, with r = 0 and r = n drawn on purpose."""
+    n = draw(st.integers(1, 300_000))
+    edge = draw(st.sampled_from([None, None, None, 0, 1]))
+    return Observation(draw(st.integers(0, n)) if edge is None else edge * n, n)
+
+
+# Grids up to _ONE_CALL_MAX = 107,000 points take one call; above, blocks,
+# the last of them 1 point long at 2^17 + 1.
+_BLOCKED_GRIDS = (107_000, 107_001, 107_002, 2**17 + 1, 300_001, 10**6 + 1)
+# numpy without its AVX-512 loops, where exp and log take another code path.
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+class TestBlockedLikelihoodCurve:
+    """Large grids are built in blocks, skipping blocks that exp rounds to 0."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(points=st.sampled_from(_BLOCKED_GRIDS), obs=_observations())
+    def test_matches_single_call(self, points, obs):
+        grid = _grid(points)
+        assert np.array_equal(likelihood_curve(obs, grid).values, _single_call_curve(obs, grid))
+
+    @pytest.mark.parametrize("r, n, skips", [(50_000, 100_000, True), (0, 300_000, True),
+                                             (300_000, 300_000, True), (1_200, 3_000, True),
+                                             (7, 10, False)])
+    def test_skipped_blocks_are_all_zero(self, monkeypatch, r, n, skips):
+        """Every block left at 0.0 is all 0.0 in the single call; only large n skips any."""
+        grid = _grid(10**6 + 1)
+        evaluated = set()
+        kernel = likelihood._binomial_log_pmf
+
+        def recording(x, trials, p):
+            if np.shares_memory(p, grid.values):  # a block, not the peak probe
+                evaluated.add(int(round(p[0] * grid.intervals)))
+            return kernel(x, trials, p)
+
+        monkeypatch.setattr(likelihood, "_binomial_log_pmf", recording)
+        blocked = likelihood_curve(Observation(r, n), grid).values
+        single = _single_call_curve(Observation(r, n), grid)
+        assert np.array_equal(blocked, single)
+        skipped = [s for s in range(0, grid.points, likelihood._BLOCK) if s not in evaluated]
+        for start in skipped:
+            assert not np.any(single[start:start + likelihood._BLOCK])
+        assert bool(skipped) == skips
+
+    def test_matches_single_call_without_avx512(self):
+        """The property above, rerun with numpy's AVX-512 loops switched off.
+
+        The test is called directly rather than through pytest, which would
+        double the subprocess's start-up time.
+        """
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": _NO_AVX512}
+        code = f"import {Path(__file__).stem} as t; t.{type(self).__name__}().test_matches_single_call()"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
 
 
 class TestLikelihoodSum:
@@ -166,6 +253,8 @@ class TestGaussianModel:
         assert abs(mode - 0.5051) <= grid.spacing
 
     def test_matches_density_times_spacing(self):
+        import scipy.stats
+
         grid = make_grid(1001)
         model = GaussianModel(0.404, 0.0493)
         curve = gaussian_likelihood_curve(model, grid)
