@@ -6,8 +6,10 @@ empirical distribution of the true proportion conditional on each observed
 count matches the analytic posterior — the sampling-model justification for
 reading normalized likelihoods as posterior probabilities; one binomial pmf
 table per run gives both the draw CDFs (row cumsums) and the analytic
-posteriors (normalized columns).  Threshold instability simulates repeat
-studies at a fixed true proportion and reports how often they fail a
+posteriors (normalized columns).  Each chunk of draws is sorted by grid
+index once, and every group inverts its own row CDF.  Threshold
+instability simulates repeat studies at a fixed true proportion, inverts
+their CDF with the same lookup, and reports how often they fail a
 significance test.
 
 Randomness comes from the counter-based Philox generator keyed by
@@ -59,14 +61,23 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.grid_points, (int, np.integer)):
+            raise InvalidArgumentError("grid_points must be an integer")
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be >= 2")
-        if self.trials_n < 1:
-            raise InvalidArgumentError("trials_n must be >= 1")
-        if self.num_trials < 1:
-            raise InvalidArgumentError("num_trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
+        _require_run(self.trials_n, self.num_trials, self.seed)
+
+
+def _require_run(trials_n, num_trials, seed) -> None:
+    """The checks both experiments share; a seed is a Philox key word, an integer in [0, 2^64)."""
+    if not all(isinstance(v, (int, np.integer)) for v in (trials_n, num_trials)):
+        raise InvalidArgumentError("trials_n and num_trials must be integers")
+    if trials_n < 1:
+        raise InvalidArgumentError("trials_n must be >= 1")
+    if num_trials < 1:
+        raise InvalidArgumentError("num_trials must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -84,9 +95,12 @@ class CalibrationReport:
     counts: np.ndarray
     conditionals: np.ndarray
     per_cell_deviation: np.ndarray
-    qualifying: np.ndarray
     max_abs_deviation: float
-    min_cell_count: int
+    min_cell_count = MIN_CELL_COUNT
+
+    @property
+    def qualifying(self) -> np.ndarray:
+        return self.counts >= MIN_CELL_COUNT
 
     @property
     def empirical_marginal(self) -> np.ndarray:
@@ -108,8 +122,7 @@ def stream_uniforms(seed: int, stream_id: int, count: int, offset: int = 0) -> n
     if offset % 4 != 0:
         raise InvalidArgumentError("stream offsets must be multiples of 4")
     bit_gen = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-    if offset:
-        bit_gen.advance(offset // 4)
+    bit_gen.advance(offset // 4)
     return Generator(bit_gen).random(count)
 
 
@@ -130,16 +143,27 @@ def _outcome_tables(trials_n: int, grid_points: int) -> tuple[np.ndarray, np.nda
     return np.cumsum(table, axis=1, out=table), analytic
 
 
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF counts; a u past the rounded ``cdf[-1]``, which can be < 1, gets the last."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def _null_tails(trials_n: int, null_p: float) -> np.ndarray:
+    """Exact one-sided P-values: ``tails[r]`` = P(count >= r | null_p), summed from the top."""
+    return np.cumsum(binomial_outcome_pmf(trials_n, null_p)[::-1])[::-1]
+
+
 def _draw_counts(
     u_true: np.ndarray, u_outcome: np.ndarray, cdfs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map one chunk's uniforms to (grid index, count); ``cdfs[i]`` is index i's outcome CDF."""
-    m, last = cdfs.shape[0], cdfs.shape[1] - 1
+    m = cdfs.shape[0]
     idx = np.minimum((u_true * m).astype(np.int64), m - 1)
+    # Any sort order works: a lookup does not depend on the order within its group.
+    groups = np.split(np.argsort(idx), np.cumsum(np.bincount(idx, minlength=m))[:-1])
     observed = np.empty(idx.size, dtype=np.int64)
-    for i in np.unique(idx):
-        mask = idx == i
-        observed[mask] = np.minimum(np.searchsorted(cdfs[i], u_outcome[mask], side="right"), last)
+    for cdf, group in zip(cdfs, groups):
+        observed[group] = _invert_cdf(cdf, u_outcome[group])
     return idx, observed
 
 
@@ -158,28 +182,18 @@ def simulate_calibration(config: SimulationConfig) -> CalibrationReport:
         u_true = stream_uniforms(config.seed, _STREAM_TRUE_P, stop - start, offset=start)
         u_outcome = stream_uniforms(config.seed, _STREAM_OUTCOME, stop - start, offset=start)
         idx, observed = _draw_counts(u_true, u_outcome, cdfs)
-        flat = np.bincount(observed * m + idx, minlength=(n + 1) * m)
-        joint += flat.reshape(n + 1, m)
+        joint += np.bincount(observed * m + idx, minlength=(n + 1) * m).reshape(n + 1, m)
 
     counts = joint.sum(axis=1)
-    conditionals = np.zeros((n + 1, m))
-    populated = counts > 0
-    conditionals[populated] = joint[populated] / counts[populated, None]
-
-    per_cell = np.full(n + 1, np.nan)
-    per_cell[populated] = np.max(np.abs(conditionals[populated] - analytic[populated]), axis=1)
+    # Empty rows divide 0 by 1 and stay 0; their analytic rows may be NaN.  The
+    # builtin abs lets numpy take the difference in place, a full table less.
+    conditionals = joint / np.maximum(counts, 1)[:, None]
+    per_cell = np.where(counts > 0, np.max(abs(conditionals - analytic), axis=1), np.nan)
 
     qualifying = counts >= MIN_CELL_COUNT
     max_dev = float(np.max(per_cell[qualifying])) if np.any(qualifying) else float("nan")
-    return CalibrationReport(
-        config=config,
-        counts=counts,
-        conditionals=conditionals,
-        per_cell_deviation=per_cell,
-        qualifying=qualifying,
-        max_abs_deviation=max_dev,
-        min_cell_count=MIN_CELL_COUNT,
-    )
+    return CalibrationReport(config=config, counts=counts, conditionals=conditionals,
+                             per_cell_deviation=per_cell, max_abs_deviation=max_dev)
 
 
 def significance_boundary(
@@ -197,20 +211,14 @@ def significance_boundary(
     require_unit_interval(null_p=null_p)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
-    masses = binomial_outcome_pmf(trials_n, null_p)
-    tail = np.cumsum(masses[::-1])[::-1]  # tail[r] = P(count >= r | null)
-    significant = np.nonzero(tail <= alpha)[0]
+    significant = np.nonzero(_null_tails(trials_n, null_p) <= alpha)[0]
     if significant.size == 0:
         raise InvalidArgumentError("no count reaches significance at this alpha")
     r_star = int(significant[0])
-
-    def upper_tail(p: float) -> float:
-        return float(binomial_outcome_pmf(trials_n, p)[r_star:].sum())
-
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if upper_tail(mid) < 0.5:
+        if binomial_outcome_pmf(trials_n, mid)[r_star:].sum() < 0.5:
             lo = mid
         else:
             hi = mid
@@ -218,12 +226,7 @@ def significance_boundary(
 
 
 def simulate_threshold_instability(
-    true_p: float,
-    trials_n: int,
-    null_p: float,
-    alpha: float,
-    num_trials: int,
-    seed: int,
+    true_p: float, trials_n: int, null_p: float, alpha: float, num_trials: int, seed: int
 ) -> float:
     """Fraction of simulated repeat studies that are not significant.
 
@@ -233,16 +236,11 @@ def simulate_threshold_instability(
     require_unit_interval(true_p=true_p, null_p=null_p)
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1]")
-    if trials_n < 1:
-        raise InvalidArgumentError("trials_n must be >= 1")
-    if num_trials < 1:
-        raise InvalidArgumentError("num_trials must be >= 1")
+    _require_run(trials_n, num_trials, seed)
     cdf = np.cumsum(binomial_outcome_pmf(trials_n, true_p))
-    masses_null = binomial_outcome_pmf(trials_n, null_p)
-    p_values = np.cumsum(masses_null[::-1])[::-1]  # p_values[r] = P(count >= r)
+    p_values = _null_tails(trials_n, null_p)
     non_significant = 0
     for start, stop in _chunk_bounds(num_trials):
         u = stream_uniforms(seed, _STREAM_REPEAT, stop - start, offset=start)
-        observed = np.minimum(np.searchsorted(cdf, u, side="right"), trials_n)
-        non_significant += int(np.count_nonzero(p_values[observed] > alpha))
+        non_significant += int(np.count_nonzero(p_values[_invert_cdf(cdf, u)] > alpha))
     return non_significant / num_trials

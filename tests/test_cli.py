@@ -301,6 +301,17 @@ class TestSimulateCommand:
         assert payload["fraction_non_significant"] < 0.01
         assert "boundary" not in payload
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_instability_rejects_out_of_range_seed(self, capsys, seed):
+        """Exit 2 with the calibration's message, not an OverflowError traceback."""
+        code, out, err = invoke(capsys, ["simulate", "--mode", "instability",
+                                         "--num-trials", "1000", "--seed", seed,
+                                         "--significance-null", "0.4",
+                                         "--significance-alpha", "0.05", "--true-p", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a 64-bit unsigned integer\n"
+        assert "Traceback" not in err
+
     def test_instability_requires_significance_flags(self, capsys):
         code, _, err = invoke(capsys, ["simulate", "--mode", "instability",
                                        "--num-trials", "10", "--seed", "1"])

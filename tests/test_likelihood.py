@@ -6,14 +6,11 @@ evaluation path on its own terms.  Curves on grids large enough to be built
 in blocks are checked bit for bit against one kernel call over the grid.
 """
 
-import os
-import subprocess
-import sys
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_passes_without_avx512
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -152,8 +149,6 @@ def _observations(draw):
 # Grids up to _ONE_CALL_MAX = 107,000 points take one call; above, blocks,
 # the last of them 1 point long at 2^17 + 1.
 _BLOCKED_GRIDS = (107_000, 107_001, 107_002, 2**17 + 1, 300_001, 10**6 + 1)
-# numpy without its AVX-512 loops, where exp and log take another code path.
-_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 class TestBlockedLikelihoodCurve:
@@ -190,17 +185,9 @@ class TestBlockedLikelihoodCurve:
         assert bool(skipped) == skips
 
     def test_matches_single_call_without_avx512(self):
-        """The property above, rerun with numpy's AVX-512 loops switched off.
-
-        The test is called directly rather than through pytest, which would
-        double the subprocess's start-up time.
-        """
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join([str(here.parent / "src"), str(here)])
-        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": _NO_AVX512}
-        code = f"import {Path(__file__).stem} as t; t.{type(self).__name__}().test_matches_single_call()"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+        """The property above, rerun with numpy's AVX-512 loops switched off."""
+        assert_passes_without_avx512(
+            "import test_likelihood as t; t.TestBlockedLikelihoodCurve().test_matches_single_call()")
 
 
 class TestLikelihoodSum:

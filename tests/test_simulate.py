@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import assert_passes_without_avx512
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -86,6 +87,14 @@ class TestSimulationConfig:
             SimulationConfig(grid_points=101, trials_n=99, num_trials=0, seed=1)
         with pytest.raises(InvalidArgumentError):
             SimulationConfig(grid_points=101, trials_n=99, num_trials=10, seed=-1)
+
+    @pytest.mark.parametrize("fields", [(101.0, 99, 10, 1), (101, 99.0, 10, 1),
+                                        (101, 99, 10.0, 1), (101, 99, 10, 1.5),
+                                        (101, 99, 10, 2**64)])
+    def test_non_integer_or_out_of_range_fields(self, fields):
+        """A float is refused, not truncated: Philox would key seed 1.5 as seed 1."""
+        with pytest.raises(InvalidArgumentError):
+            SimulationConfig(*fields)
 
 
 class TestSimulateCalibration:
@@ -196,6 +205,7 @@ class TestOutcomeTableBitIdentity:
            st.integers(min_value=0, max_value=2**32 - 1))
     @example(2, 1, 0)
     @example(101, 1, 0)
+    @example(1001, 99, 7)  # about 500 single-draw groups
     def test_matches_frozen_per_row_code(self, m, n, seed):
         grid_values = make_grid(m).values
         cdfs, analytic = _outcome_tables(n, m)
@@ -211,6 +221,18 @@ class TestOutcomeTableBitIdentity:
         want_idx, want_observed = _frozen_draw_counts(u_true, u_outcome, grid_values, n)
         assert got_idx.tobytes() == want_idx.tobytes()
         assert got_observed.tobytes() == want_observed.tobytes()
+
+    def test_matches_frozen_per_row_code_without_avx512(self):
+        """The explicit examples above, rerun where numpy's argsort, exp and
+        log take their AVX2 paths.  Only the explicit phase runs, which keeps
+        the subprocess near a second; the 1001-point example holds the many
+        sparse groups and the clamp."""
+        assert_passes_without_avx512(
+            "from hypothesis import Phase, settings\n"
+            "settings.register_profile('explicit', phases=[Phase.explicit])\n"
+            "settings.load_profile('explicit')\n"
+            "import test_simulate as t\n"
+            "t.TestOutcomeTableBitIdentity().test_matches_frozen_per_row_code()")
 
 
 def _calibration_digest(report):
@@ -323,3 +345,10 @@ class TestThresholdInstability:
             simulate_threshold_instability(1.5, 99, 0.404, 0.05, 10, 1)
         with pytest.raises(InvalidArgumentError):
             simulate_threshold_instability(0.5, 99, 0.404, 0.0, 10, 1)
+
+    @pytest.mark.parametrize("trials_n, num_trials, seed", [
+        (99.0, 10, 1), (99, 10.0, 1), (99, 10, 1.9), (99, 10, -1), (99, 10, 2**64)])
+    def test_sizes_and_seed_follow_calibration_rules(self, trials_n, num_trials, seed):
+        """Seed 1.9 once ran as seed 1, and seed -1 escaped as an OverflowError."""
+        with pytest.raises(InvalidArgumentError):
+            simulate_threshold_instability(0.5, trials_n, 0.404, 0.05, num_trials, seed)
