@@ -69,6 +69,8 @@ def binomial_pmf(successes: int, trials: int, p: float) -> float:
 
 def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
     """Vector of binomial_pmf(k; trials, p) over all outcomes k = 0 ... trials."""
+    if not isinstance(trials, (int, np.integer)):
+        raise InvalidArgumentError("trials must be an integer")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     require_unit_interval(p=p)

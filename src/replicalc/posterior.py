@@ -9,6 +9,7 @@ reduce to sums of point masses.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,28 @@ def normalize(curve: Curve) -> Curve:
     return Curve(grid=curve.grid, values=curve.values / total, kind=DISTRIBUTION)
 
 
+# The latest posterior built, by (obs, grid), while a caller still holds it.
+_held_posteriors: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def posterior_distribution(obs: Observation, grid: ParameterGrid) -> Curve:
-    """Posterior of the true proportion given ``obs`` on ``grid``."""
-    return normalize(likelihood_curve(obs, grid))
+    """Posterior of the true proportion given ``obs`` on ``grid``.
+
+    While a caller holds the latest posterior built and asks again for an
+    equal ``(obs, grid)``, that same read-only curve is returned instead of
+    a rebuilt one, so a query that reads one posterior several times builds
+    it once.  Nothing is kept alive for the memo's sake, and a failed build
+    is not stored.
+    """
+    key = (obs, grid)
+    dist = _held_posteriors.get(key)
+    if dist is None:
+        dist = normalize(likelihood_curve(obs, grid))
+        # Only the latest is kept: an older one that only a reference cycle still
+        # reaches lives until the collector runs, and reuse would hang on that timing.
+        _held_posteriors.clear()
+        _held_posteriors[key] = dist
+    return dist
 
 
 def _require_distribution(curve: Curve, op: str) -> None:
@@ -118,13 +138,20 @@ def replication_interval(dist: Curve, mass: float) -> RangeSpec:
     if not 0.0 < mass < 1.0:
         raise InvalidArgumentError("mass must lie strictly between 0 and 1")
     tail = (1.0 - mass) / 2.0
-    values = dist.values
-    cum = np.cumsum(values)
+    cum = np.cumsum(dist.values)
     total = cum[-1]
-    below = np.concatenate(([0.0], cum[:-1]))  # mass strictly below point i
-    above = total - cum  # mass strictly above point i
-    lower_idx = int(np.nonzero(below <= tail)[0][-1])
-    upper_idx = int(np.nonzero(above <= tail)[0][0])
+    # Rounding is monotone, so the mass strictly below point i, cum[i - 1], and
+    # strictly above it, total - cum[i], are monotone in i and two binary
+    # searches find the bounds.  The upper one tests total - cum[i] itself:
+    # cum[i] >= total - tail can round the other way.
+    lower_idx = int(np.searchsorted(cum[:-1], tail, side="right"))
+    upper_idx, hi = 0, cum.size - 1
+    while upper_idx < hi:
+        mid = (upper_idx + hi) // 2
+        if total - cum[mid] <= tail:
+            hi = mid
+        else:
+            upper_idx = mid + 1
     grid_vals = dist.grid.values
     return RangeSpec(float(grid_vals[lower_idx]), float(grid_vals[upper_idx]), True, True)
 
@@ -147,14 +174,29 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
         return float(1.0 / (1.0 + np.exp(log_b - log_a)))
 
 
-def _cell_edges(grid: ParameterGrid) -> np.ndarray:
-    """Right edge of each grid point's cell, clipped to [0, 1].
+def _cell_edges(grid: ParameterGrid, points=slice(None)) -> np.ndarray:
+    """Right edge of each grid point's cell (or of ``points`` alone), clipped to [0, 1].
 
     Point i owns the cell [p_i - h/2, p_i + h/2] intersected with [0, 1];
     consecutive cells tile the unit interval exactly.
     """
-    half = 0.5 * grid.spacing
-    return np.minimum(grid.values + half, 1.0)
+    return np.minimum(grid.values[points] + 0.5 * grid.spacing, 1.0)
+
+
+def _points_near(edges: np.ndarray, m: int) -> np.ndarray:
+    """The points of an m-point grid whose cell edges np.interp reads at ``edges``.
+
+    Knot 0 is 0.0 and knot k >= 1 is point k - 1's right edge, (k - 1/2)/(m - 1)
+    before rounding, so the two knots around an edge q lie within 2 of
+    index round(q (m - 1)).
+    """
+    guess = np.floor(edges * (m - 1) + 0.5).astype(np.int64)
+    hit = np.zeros(m + 5, dtype=bool)
+    hit[guess + 2] = True
+    near = hit[:m + 1].copy()  # near[k]: knot k lies within 2 of a guess
+    for shift in range(1, 5):
+        near |= hit[shift:shift + m + 1]
+    return np.flatnonzero(near[1:])
 
 
 def rescale_grid(dist: Curve, new_grid: ParameterGrid) -> Curve:
@@ -167,11 +209,16 @@ def rescale_grid(dist: Curve, new_grid: ParameterGrid) -> Curve:
     mass by ~100).
     """
     _require_distribution(dist, "rescale_grid")
-    knots_x = np.concatenate(([0.0], _cell_edges(dist.grid)))
-    knots_y = np.concatenate(([0.0], np.cumsum(dist.values)))
-    new_half = 0.5 * new_grid.spacing
-    left = np.maximum(new_grid.values - new_half, 0.0)
-    right = np.minimum(new_grid.values + new_half, 1.0)
+    left = np.maximum(new_grid.values - 0.5 * new_grid.spacing, 0.0)
+    right = _cell_edges(new_grid)
+    points = slice(None)
+    # A much coarser grid reads at most 10 knots per point, so only those are
+    # built; np.interp brackets each edge by the same two knots in any subset
+    # that holds them, so the masses do not change by a bit.
+    if 10 * new_grid.points < dist.grid.points:
+        points = _points_near(np.concatenate((left, right)), dist.grid.points)
+    knots_x = np.concatenate(([0.0], _cell_edges(dist.grid, points)))
+    knots_y = np.concatenate(([0.0], np.cumsum(dist.values)[points]))
     masses = np.interp(right, knots_x, knots_y) - np.interp(left, knots_x, knots_y)
     masses = np.maximum(masses, 0.0)
     total = masses.sum()

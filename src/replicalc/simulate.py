@@ -69,13 +69,18 @@ class SimulationConfig:
 
 
 def _require_run(trials_n, num_trials, seed) -> None:
-    """The checks both experiments share; a seed is a Philox key word, an integer in [0, 2^64)."""
+    """The checks both experiments share."""
     if not all(isinstance(v, (int, np.integer)) for v in (trials_n, num_trials)):
         raise InvalidArgumentError("trials_n and num_trials must be integers")
     if trials_n < 1:
         raise InvalidArgumentError("trials_n must be >= 1")
     if num_trials < 1:
         raise InvalidArgumentError("num_trials must be >= 1")
+    _require_seed(seed)
+
+
+def _require_seed(seed) -> None:
+    """A seed is a Philox key word: an integer in [0, 2^64)."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
 
@@ -119,6 +124,7 @@ def stream_uniforms(seed: int, stream_id: int, count: int, offset: int = 0) -> n
     double consumes one word, so offsets must be multiples of 4; callers
     chunk on that boundary.
     """
+    _require_seed(seed)
     if offset % 4 != 0:
         raise InvalidArgumentError("stream offsets must be multiples of 4")
     bit_gen = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
@@ -183,11 +189,14 @@ def simulate_calibration(config: SimulationConfig) -> CalibrationReport:
         u_outcome = stream_uniforms(config.seed, _STREAM_OUTCOME, stop - start, offset=start)
         idx, observed = _draw_counts(u_true, u_outcome, cdfs)
         joint += np.bincount(observed * m + idx, minlength=(n + 1) * m).reshape(n + 1, m)
+    # The deviation stage makes table-sized arrays; free the tables it does not read.
+    del cdfs
 
     counts = joint.sum(axis=1)
     # Empty rows divide 0 by 1 and stay 0; their analytic rows may be NaN.  The
     # builtin abs lets numpy take the difference in place, a full table less.
     conditionals = joint / np.maximum(counts, 1)[:, None]
+    del joint
     per_cell = np.where(counts > 0, np.max(abs(conditionals - analytic), axis=1), np.nan)
 
     qualifying = counts >= MIN_CELL_COUNT

@@ -96,6 +96,12 @@ class TestBinomialOutcomePmf:
         masses = binomial_outcome_pmf(5, 1.0)
         assert list(masses) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("trials", [99.5, 99.0])
+    def test_non_integer_trials_rejected(self, trials):
+        """99.5 trials once gave the 100 masses of 99 trials."""
+        with pytest.raises(InvalidArgumentError, match="trials must be an integer"):
+            binomial_outcome_pmf(trials, 0.4)
+
     def test_matches_scipy_vector(self):
         import scipy.stats
 

@@ -6,12 +6,18 @@ Beta(r+1, n-r+1), with grid cells owning the half-spacing strip on each
 side of their point.
 """
 
+import gc
 import warnings
+import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from conftest import assert_passes_without_avx512
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from replicalc import (
@@ -24,6 +30,7 @@ from replicalc import (
     RangeSpec,
     binomial_identity_divergence,
     binomial_outcome_pmf,
+    compare_p_and_posterior,
     induced_outcome_attribution,
     likelihood_curve,
     make_grid,
@@ -36,7 +43,44 @@ from replicalc import (
     two_hypothesis_posterior,
     uniform_distribution,
 )
+from replicalc import posterior
 from replicalc.grid_model import DISTRIBUTION, LIKELIHOOD
+
+
+@lru_cache(maxsize=None)
+def _grid(points):
+    return make_grid(points)
+
+
+@st.composite
+def _posteriors(draw):
+    """Posteriors on grids of 2 points to 10^6 + 1, on both sides of the 107,000
+    points above which likelihood curves are built in blocks; n up to 3 * 10^5,
+    with r = 0 and r = n drawn on purpose.  An r that no grid point can
+    explain (its likelihood underflows to 0 everywhere) becomes r = n."""
+    grid = _grid(draw(st.sampled_from((2, 3, 101, 10_001, 107_000, 107_001, 300_001, 10**6 + 1))))
+    n = draw(st.integers(1, 300_000))
+    edge = draw(st.sampled_from([None, None, None, 0, 1]))
+    r = draw(st.integers(0, n)) if edge is None else edge * n
+    try:
+        return posterior_distribution(Observation(r, n), grid)
+    except DegenerateEvidenceError:
+        return posterior_distribution(Observation(n, n), grid)
+
+
+@st.composite
+def _dyadic(draw):
+    """Distributions of dyadic masses, zeros included, on up to 31 points:
+    their cumulative sums are exact and hit tails such as 1/4 exactly."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    total = 1 << sum(counts).bit_length()
+    counts.append(total - sum(counts))
+    return Curve(_grid(len(counts)), np.array(counts) / total, DISTRIBUTION)
+
+
+_DISTRIBUTIONS = st.one_of(_posteriors(), _dyadic())
+_PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +275,16 @@ class TestReplicationInterval:
         iv = replication_interval(dist, 0.95)
         assert iv.lower == iv.upper == pytest.approx(0.43)
 
+    @_PROPERTY
+    @given(dist=_DISTRIBUTIONS,
+           mass=st.one_of(st.floats(0.001, 0.999), st.sampled_from([0.25, 0.5, 0.75, 0.875])))
+    @example(dist=Curve(_grid(6), np.array([0.25, 0, 0.25, 0, 0.25, 0.25]), DISTRIBUTION), mass=0.5)
+    @example(dist=posterior_distribution(Observation(0, 7), _grid(2)), mass=0.95)
+    @example(dist=posterior_distribution(Observation(3, 3), _grid(3)), mass=0.5)
+    def test_matches_frozen_full_scan(self, dist, mass):
+        """The two searches find the bounds the full-grid scans found."""
+        assert replication_interval(dist, mass) == _frozen_interval(dist, mass)
+
     def test_validation(self, fine_posterior):
         with pytest.raises(InvalidArgumentError):
             replication_interval(fine_posterior, 0.0)
@@ -261,6 +315,52 @@ class TestRescaleGrid:
         expected = np.diff(np.concatenate([[0.0], cdf]))
         assert_allclose(coarse.values, expected, rtol=0, atol=1e-6)
         assert_allclose(coarse.total, 1.0, rtol=0, atol=1e-12)
+
+    @_PROPERTY
+    @given(dist=_DISTRIBUTIONS, points=st.one_of(
+        st.sampled_from((2, 3, 101, 1_000, 1_001, 10_001, 100_001)), st.integers(2, 5_000)))
+    @example(dist=posterior_distribution(Observation(50, 99), _grid(10**6 + 1)), points=101)
+    @example(dist=posterior_distribution(Observation(0, 10), _grid(10_001)), points=1_000)
+    @example(dist=posterior_distribution(Observation(10, 10), _grid(10_001)), points=1_001)
+    @example(dist=posterior_distribution(Observation(2, 2), _grid(2)), points=3)
+    @example(dist=posterior_distribution(Observation(1, 2), _grid(3)), points=2)
+    @example(dist=posterior_distribution(Observation(7, 20), _grid(101)), points=10**6 + 1)
+    def test_matches_frozen_full_knots(self, dist, points):
+        """Coarser and finer targets, on both sides of the switch to knot subsets
+        (a target of fewer than a tenth of the source's points)."""
+        got = rescale_grid(dist, _grid(points)).values
+        assert np.array_equal(got, _frozen_rescale(dist, _grid(points)))
+
+
+def test_interval_and_rescale_match_frozen_code_without_avx512():
+    """Both properties above, rerun with numpy's AVX-512 loops switched off."""
+    assert_passes_without_avx512(
+        "import test_posterior as t\n"
+        "t.TestReplicationInterval().test_matches_frozen_full_scan()\n"
+        "t.TestRescaleGrid().test_matches_frozen_full_knots()")
+
+
+def _frozen_interval(dist, mass):
+    """``replication_interval`` as it was: a full-grid scan for each bound."""
+    tail = (1.0 - mass) / 2.0
+    cum = np.cumsum(dist.values)
+    below = np.concatenate(([0.0], cum[:-1]))
+    above = cum[-1] - cum
+    lower_idx = int(np.nonzero(below <= tail)[0][-1])
+    upper_idx = int(np.nonzero(above <= tail)[0][0])
+    vals = dist.grid.values
+    return RangeSpec(float(vals[lower_idx]), float(vals[upper_idx]), True, True)
+
+
+def _frozen_rescale(dist, new_grid):
+    """``rescale_grid``'s values as they were: interpolation over every old knot."""
+    knots_x = np.concatenate(([0.0], np.minimum(dist.grid.values + 0.5 * dist.grid.spacing, 1.0)))
+    knots_y = np.concatenate(([0.0], np.cumsum(dist.values)))
+    new_half = 0.5 * new_grid.spacing
+    left = np.maximum(new_grid.values - new_half, 0.0)
+    right = np.minimum(new_grid.values + new_half, 1.0)
+    masses = np.maximum(np.interp(right, knots_x, knots_y) - np.interp(left, knots_x, knots_y), 0.0)
+    return masses / masses.sum()
 
 
 class TestInducedOutcomeAttribution:
@@ -325,3 +425,32 @@ class TestPosteriorDistribution:
         uni = uniform_distribution(grid)
         assert_allclose(range_probability(uni, RangeSpec(0.0, 1.0)), 1.0,
                         rtol=0, atol=1e-12)
+
+    def test_held_posterior_is_built_once(self, monkeypatch):
+        """An equal (obs, grid) gets the latest posterior while a caller still
+        holds it; a dropped or superseded posterior is built again."""
+        builds = []
+
+        def counting(obs, grid):
+            builds.append(obs)
+            return likelihood_curve(obs, grid)
+
+        monkeypatch.setattr(posterior, "likelihood_curve", counting)
+        obs, grid = Observation(29, 57), make_grid(1003)  # inputs no other test uses
+        held = posterior_distribution(obs, grid)
+        assert posterior_distribution(Observation(29, 57), make_grid(1003)) is held
+        report = compare_p_and_posterior(obs, 0.4, grid, AT_OR_ABOVE)
+        assert report.posterior_null_tail == tail_probability(held, 0.4, AT_OR_BELOW)
+        assert len(builds) == 1
+
+        dropped = weakref.ref(held)
+        del held
+        gc.collect()
+        assert dropped() is None
+        rebuilt = posterior_distribution(obs, grid)
+        assert len(builds) == 2
+        assert np.array_equal(rebuilt.values, normalize(likelihood_curve(obs, grid)).values)
+
+        posterior_distribution(Observation(3, 57), grid)  # supersedes the held one
+        assert posterior_distribution(obs, grid) is not rebuilt
+        assert len(builds) == 4

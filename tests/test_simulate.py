@@ -71,6 +71,12 @@ class TestStreamUniforms:
         with pytest.raises(InvalidArgumentError):
             stream_uniforms(42, 0, 10, offset=3)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_seed_follows_the_experiments_rule(self, seed):
+        """Seed 1.5 once returned seed 1's draws, and seed -1 raised an OverflowError."""
+        with pytest.raises(InvalidArgumentError, match="seed must be a 64-bit unsigned integer"):
+            stream_uniforms(seed, 0, 4)
+
     def test_range(self):
         u = stream_uniforms(7, 2, 10000)
         assert np.all(u >= 0.0)
@@ -305,6 +311,11 @@ class TestSignificanceBoundary:
             significance_boundary(99, 1.5, 0.05)
         with pytest.raises(InvalidArgumentError):
             significance_boundary(99, 0.404, 0.0)
+
+    def test_non_integer_trials_rejected(self):
+        """99.5 trials once located the boundary for 99; the pmf it builds now refuses them."""
+        with pytest.raises(InvalidArgumentError, match="trials must be an integer"):
+            significance_boundary(99.5, 0.404, 0.05)
 
 
 class TestThresholdInstability:
