@@ -95,7 +95,10 @@ def posterior_distribution(obs: Observation, grid: ParameterGrid) -> Curve:
     equal ``(obs, grid)``, that same read-only curve is returned instead of
     a rebuilt one, so a query that reads one posterior several times builds
     it once.  Nothing is kept alive for the memo's sake, and a failed build
-    is not stored.
+    is not stored.  A posterior the caller dropped but a reference cycle
+    still reaches may be reused until the garbage collector frees it, so
+    whether a request rebuilds can depend on the collector's timing; the
+    values returned do not.
     """
     key = (obs, grid)
     dist = _held_posteriors.get(key)
@@ -174,25 +177,18 @@ def two_hypothesis_posterior(obs: Observation, p_a: float, p_b: float) -> float:
         return float(1.0 / (1.0 + np.exp(log_b - log_a)))
 
 
-def _cell_edges(grid: ParameterGrid, points=slice(None)) -> np.ndarray:
-    """Right edge of each grid point's cell (or of ``points`` alone), clipped to [0, 1].
-
-    Point i owns the cell [p_i - h/2, p_i + h/2] intersected with [0, 1];
-    consecutive cells tile the unit interval exactly.
-    """
-    return np.minimum(grid.values[points] + 0.5 * grid.spacing, 1.0)
-
-
-def _points_near(edges: np.ndarray, m: int) -> np.ndarray:
+def _points_near(m: int, *edges: np.ndarray) -> np.ndarray:
     """The points of an m-point grid whose cell edges np.interp reads at ``edges``.
 
     Knot 0 is 0.0 and knot k >= 1 is point k - 1's right edge, (k - 1/2)/(m - 1)
     before rounding, so the two knots around an edge q lie within 2 of
     index round(q (m - 1)).
     """
-    guess = np.floor(edges * (m - 1) + 0.5).astype(np.int64)
     hit = np.zeros(m + 5, dtype=bool)
-    hit[guess + 2] = True
+    for edge in edges:
+        guess = np.multiply(edge, m - 1)
+        guess += 0.5
+        hit[2:][guess.astype(np.intp)] = True  # edges are >= 0: truncation is round
     near = hit[:m + 1].copy()  # near[k]: knot k lies within 2 of a guess
     for shift in range(1, 5):
         near |= hit[shift:shift + m + 1]
@@ -209,15 +205,15 @@ def rescale_grid(dist: Curve, new_grid: ParameterGrid) -> Curve:
     mass by ~100).
     """
     _require_distribution(dist, "rescale_grid")
-    left = np.maximum(new_grid.values - 0.5 * new_grid.spacing, 0.0)
-    right = _cell_edges(new_grid)
-    points = slice(None)
-    # A much coarser grid reads at most 10 knots per point, so only those are
-    # built; np.interp brackets each edge by the same two knots in any subset
-    # that holds them, so the masses do not change by a bit.
-    if 10 * new_grid.points < dist.grid.points:
-        points = _points_near(np.concatenate((left, right)), dist.grid.points)
-    knots_x = np.concatenate(([0.0], _cell_edges(dist.grid, points)))
+    new_half = 0.5 * new_grid.spacing
+    left = np.maximum(new_grid.values - new_half, 0.0)
+    right = np.minimum(new_grid.values + new_half, 1.0)
+    # Old point i's cell ends at min(p_i + h/2, 1).  Only the knots np.interp
+    # reads are built; it brackets each edge by the same two knots in any
+    # subset that holds them, so the masses do not change by a bit.
+    points = _points_near(dist.grid.points, left, right)
+    half = 0.5 * dist.grid.spacing
+    knots_x = np.concatenate(([0.0], np.minimum(dist.grid.values[points] + half, 1.0)))
     knots_y = np.concatenate(([0.0], np.cumsum(dist.values)[points]))
     masses = np.interp(right, knots_x, knots_y) - np.interp(left, knots_x, knots_y)
     masses = np.maximum(masses, 0.0)

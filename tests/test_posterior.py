@@ -326,8 +326,7 @@ class TestRescaleGrid:
     @example(dist=posterior_distribution(Observation(1, 2), _grid(3)), points=2)
     @example(dist=posterior_distribution(Observation(7, 20), _grid(101)), points=10**6 + 1)
     def test_matches_frozen_full_knots(self, dist, points):
-        """Coarser and finer targets, on both sides of the switch to knot subsets
-        (a target of fewer than a tenth of the source's points)."""
+        """Coarser, equal and finer targets: the knot subset gives every old bit."""
         got = rescale_grid(dist, _grid(points)).values
         assert np.array_equal(got, _frozen_rescale(dist, _grid(points)))
 
