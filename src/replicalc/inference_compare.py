@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import Observation, ParameterGrid
-from .likelihood import GaussianModel, binomial_outcome_pmf, gaussian_likelihood_curve
+from .likelihood import GaussianModel, _outcome_masses, gaussian_likelihood_curve
 from .posterior import (
     AT_OR_ABOVE,
     AT_OR_BELOW,
@@ -82,9 +84,9 @@ def _opposite(direction: str) -> str:
 def exact_binomial_p_value(obs: Observation, null_p: float, direction: str) -> float:
     """Exact one-sided binomial tail: outcomes as or more extreme than r."""
     require_unit_interval(null_p=null_p)
-    masses = binomial_outcome_pmf(obs.trials, null_p)
-    tail = masses[obs.successes :] if _is_upper(direction) else masses[: obs.successes + 1]
-    return float(tail.sum())
+    r, n = obs.successes, obs.trials
+    counts = np.arange(r, n + 1) if _is_upper(direction) else np.arange(r + 1)
+    return float(_outcome_masses(counts, n, null_p).sum())
 
 
 def gaussian_p_value(

@@ -5,7 +5,9 @@ saddle-point form in :mod:`.special`, Gaussian densities directly — and
 exponentiated last, so curves stay finite and NaN-free for counts up to
 10^5 and for degenerate parameters (p = 0, p = 1, r = 0, r = n).  The
 binomial kernel owns the degenerate cases: every function here passes p
-in [0, 1] to it unchanged.
+in [0, 1] to it unchanged.  ``_outcome_masses`` is the one owner of
+binomial masses for the whole package, the Monte Carlo tables and exact
+tails included.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class GaussianModel:
             raise InvalidArgumentError("GaussianModel requires sd > 0")
 
 
+def _outcome_masses(counts, n: int, p, out=None) -> np.ndarray:
+    """exp of the kernel at (counts, n, p), underflow going to 0.0 silently.
+
+    It is elementwise, so a tail formed from its own counts has the bits of
+    the matching slice of the full outcome vector.
+    """
+    with np.errstate(under="ignore"):
+        return np.exp(_binomial_log_pmf(counts, n, p), out=out)
+
+
 def binomial_pmf(successes: int, trials: int, p: float) -> float:
     """Exact binomial point mass C(n, r) p^r (1-p)^(n-r).
 
@@ -63,8 +75,7 @@ def binomial_pmf(successes: int, trials: int, p: float) -> float:
     """
     obs = Observation(successes=successes, trials=trials)
     require_unit_interval(p=p)
-    log_mass = _binomial_log_pmf(obs.successes, obs.trials, float(p))[0]
-    return float(np.exp(log_mass))
+    return float(_outcome_masses(obs.successes, obs.trials, float(p))[0])
 
 
 def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
@@ -75,9 +86,7 @@ def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
         raise InvalidArgumentError("trials must be >= 1")
     require_unit_interval(p=p)
     n = int(trials)
-    log_mass = _binomial_log_pmf(np.arange(n + 1), n, p)
-    with np.errstate(under="ignore"):
-        return np.exp(log_mass)
+    return _outcome_masses(np.arange(n + 1), n, p)
 
 
 def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
@@ -95,17 +104,14 @@ def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
     """
     r, n, p = obs.successes, obs.trials, grid.values
     if p.size <= _ONE_CALL_MAX:
-        with np.errstate(under="ignore"):
-            values = np.exp(_binomial_log_pmf(r, n, p))
-        return Curve(grid=grid, values=values, kind=LIKELIHOOD)
+        return Curve(grid=grid, values=_outcome_masses(r, n, p), kind=LIKELIHOOD)
     starts = np.arange(0, p.size, _BLOCK)
     stops = np.minimum(starts + _BLOCK, p.size)
     peaks = _binomial_log_pmf(r, n, np.clip(r / n, p[starts], p[stops - 1]))
     values = np.zeros(p.size)
     for start, stop, peak in zip(starts, stops, peaks):
         if peak >= _ZERO_LOG:
-            with np.errstate(under="ignore"):
-                np.exp(_binomial_log_pmf(r, n, p[start:stop]), out=values[start:stop])
+            _outcome_masses(r, n, p[start:stop], out=values[start:stop])
     return Curve(grid=grid, values=values, kind=LIKELIHOOD)
 
 

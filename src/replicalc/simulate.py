@@ -10,7 +10,10 @@ posteriors (normalized columns).  Each chunk of draws is sorted by grid
 index once, and every group inverts its own row CDF.  Threshold
 instability simulates repeat studies at a fixed true proportion, inverts
 their CDF with the same lookup, and reports how often they fail a
-significance test.
+significance test.  The boundary bisection stops once its midpoint
+repeats a bound: no later step could move the bounds, so the result has
+the bits of all 80 steps.  The cap stays for a boundary count of 0, whose
+bisection halves toward p = 0 and never becomes stationary.
 
 Randomness comes from the counter-based Philox generator keyed by
 ``(seed, stream id)``, with draw j of a stream always produced from counter
@@ -27,8 +30,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InvalidArgumentError, require_unit_interval
 from .grid_model import make_grid
-from .likelihood import binomial_outcome_pmf
-from .special import _binomial_log_pmf
+from .likelihood import _outcome_masses
 
 __all__ = [
     "SimulationConfig",
@@ -76,13 +78,13 @@ def _require_run(trials_n, num_trials, seed) -> None:
         raise InvalidArgumentError("trials_n must be >= 1")
     if num_trials < 1:
         raise InvalidArgumentError("num_trials must be >= 1")
-    _require_seed(seed)
+    _require_key_word("seed", seed)
 
 
-def _require_seed(seed) -> None:
-    """A seed is a Philox key word: an integer in [0, 2^64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
+def _require_key_word(name: str, value) -> None:
+    """A seed or stream id is a Philox key word: an integer in [0, 2^64)."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
+        raise InvalidArgumentError(f"{name} must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,14 @@ def stream_uniforms(seed: int, stream_id: int, count: int, offset: int = 0) -> n
     double consumes one word, so offsets must be multiples of 4; callers
     chunk on that boundary.
     """
-    _require_seed(seed)
-    if offset % 4 != 0:
-        raise InvalidArgumentError("stream offsets must be multiples of 4")
+    _require_key_word("seed", seed)
+    _require_key_word("stream_id", stream_id)
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise InvalidArgumentError("count must be a non-negative integer")
+    if not isinstance(offset, (int, np.integer)) or offset < 0 or offset % 4 != 0:
+        raise InvalidArgumentError("offset must be a non-negative multiple of 4")
     bit_gen = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-    bit_gen.advance(offset // 4)
+    bit_gen.advance(int(offset) // 4)  # advance() overflows on a numpy integer
     return Generator(bit_gen).random(count)
 
 
@@ -140,8 +145,7 @@ def _chunk_bounds(total: int):
 def _outcome_tables(trials_n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """One pmf table read two ways: draw CDFs by grid index, analytic posteriors by count."""
     p = make_grid(grid_points).values[:, None]
-    with np.errstate(under="ignore"):
-        table = np.exp(_binomial_log_pmf(np.arange(trials_n + 1), trials_n, p))
+    table = _outcome_masses(np.arange(trials_n + 1), trials_n, p)
     analytic = np.ascontiguousarray(table.T)
     # Counts no grid point can produce give 0/0 rows; no trial populates them.
     with np.errstate(invalid="ignore"):
@@ -156,7 +160,7 @@ def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _null_tails(trials_n: int, null_p: float) -> np.ndarray:
     """Exact one-sided P-values: ``tails[r]`` = P(count >= r | null_p), summed from the top."""
-    return np.cumsum(binomial_outcome_pmf(trials_n, null_p)[::-1])[::-1]
+    return np.cumsum(_outcome_masses(np.arange(trials_n + 1), trials_n, null_p)[::-1])[::-1]
 
 
 def _draw_counts(
@@ -214,20 +218,32 @@ def significance_boundary(
     null is <= alpha, together with the true proportion at which that count
     is the median outcome — the proportion where repeat studies go
     non-significant exactly half the time.
+
+    The bisection evaluates only the tail's counts and stops once ``mid``
+    is not strictly between ``lo`` and ``hi``: it then repeats a bound
+    whose answer is known (at 1.0 the tail is exactly 1), so every later
+    step would leave (lo, hi) unchanged, and the result has the bits of all
+    80 steps.  The cap stays for r* = 0, whose bisection halves toward
+    p = 0 and never becomes stationary within 80 steps.
     """
     if trials_n < 1:
         raise InvalidArgumentError("trials_n must be >= 1")
     require_unit_interval(null_p=null_p)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1)")
+    if not isinstance(trials_n, (int, np.integer)):
+        raise InvalidArgumentError("trials must be an integer")
     significant = np.nonzero(_null_tails(trials_n, null_p) <= alpha)[0]
     if significant.size == 0:
         raise InvalidArgumentError("no count reaches significance at this alpha")
     r_star = int(significant[0])
+    tail_counts = np.arange(r_star, trials_n + 1)
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if binomial_outcome_pmf(trials_n, mid)[r_star:].sum() < 0.5:
+        if not lo < mid < hi:
+            break
+        if _outcome_masses(tail_counts, trials_n, mid).sum() < 0.5:
             lo = mid
         else:
             hi = mid
@@ -246,7 +262,7 @@ def simulate_threshold_instability(
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("alpha must lie in (0, 1]")
     _require_run(trials_n, num_trials, seed)
-    cdf = np.cumsum(binomial_outcome_pmf(trials_n, true_p))
+    cdf = np.cumsum(_outcome_masses(np.arange(trials_n + 1), trials_n, true_p))
     p_values = _null_tails(trials_n, null_p)
     non_significant = 0
     for start, stop in _chunk_bounds(num_trials):

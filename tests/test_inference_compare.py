@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import assert_passes_without_avx512, result_and_warnings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from replicalc import (
@@ -20,6 +23,7 @@ from replicalc import (
     gaussian_p_value,
     make_grid,
 )
+from replicalc.special import _binomial_log_pmf
 
 
 class TestExactBinomialPValue:
@@ -68,6 +72,60 @@ class TestExactBinomialPValue:
             exact_binomial_p_value(Observation(3, 9), 1.5, AT_OR_ABOVE)
         with pytest.raises(InvalidArgumentError):
             exact_binomial_p_value(Observation(3, 9), 0.5, "between")
+
+
+def _frozen_exact_p_value(obs, null_p, direction):
+    """The old tail: a slice of the full outcome vector, summed."""
+    with np.errstate(under="ignore"):
+        masses = np.exp(_binomial_log_pmf(np.arange(obs.trials + 1), obs.trials, null_p))
+    tail = masses[obs.successes:] if direction == AT_OR_ABOVE else masses[:obs.successes + 1]
+    return float(tail.sum())
+
+
+@st.composite
+def _observations(draw):
+    """n up to 10^4, with r = 0 and r = n drawn on purpose."""
+    n = draw(st.one_of(st.integers(1, 10**4), st.sampled_from([1, 2, 99, 10**4])))
+    edge = draw(st.sampled_from([None, None, 0, 1]))
+    return Observation(draw(st.integers(0, n)) if edge is None else edge * n, n)
+
+
+class TestExactPValueBitIdentity:
+    """Summing only the tail's counts gives the bits of the old slice sum."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(obs=_observations(),
+           null_p=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-6),
+                            st.floats(1.0 - 1e-6, 1.0)),
+           direction=st.sampled_from([AT_OR_ABOVE, AT_OR_BELOW]))
+    @example(Observation(50, 99), 0.404, AT_OR_ABOVE)
+    @example(Observation(0, 1), 0.5, AT_OR_ABOVE)
+    @example(Observation(1, 1), 0.5, AT_OR_BELOW)
+    @example(Observation(0, 2), 1e-300, AT_OR_BELOW)
+    @example(Observation(2, 2), 1.0 - 1e-12, AT_OR_ABOVE)
+    @example(Observation(0, 99), 0.0, AT_OR_ABOVE)
+    @example(Observation(99, 99), 1.0, AT_OR_BELOW)
+    @example(Observation(0, 10**4), 0.404, AT_OR_BELOW)
+    @example(Observation(10**4, 10**4), 0.404, AT_OR_ABOVE)
+    @example(Observation(4122, 10**4), 0.404, AT_OR_ABOVE)
+    @example(Observation(1, 10**4), 2.0**-1040, AT_OR_BELOW)  # subnormal: the kernel warns
+    def test_matches_frozen_slice_sum(self, obs, null_p, direction):
+        args = obs, null_p, direction
+        got, got_warnings = result_and_warnings(exact_binomial_p_value, *args)
+        want, want_warnings = result_and_warnings(_frozen_exact_p_value, *args)
+        assert got == want
+        # Fewer counts are evaluated, so a warning can go but none can appear.
+        assert got_warnings <= want_warnings
+
+    def test_matches_frozen_slice_sum_without_avx512(self):
+        """The explicit examples above, rerun where numpy's exp and log take
+        their AVX2 paths."""
+        assert_passes_without_avx512(
+            "from hypothesis import Phase, settings\n"
+            "settings.register_profile('explicit', phases=[Phase.explicit])\n"
+            "settings.load_profile('explicit')\n"
+            "import test_inference_compare as t\n"
+            "t.TestExactPValueBitIdentity().test_matches_frozen_slice_sum()")
 
 
 class TestGaussianPValue:

@@ -3,9 +3,10 @@
 The keyed counter-based streams make every simulation a pure function of
 (seed, stream, index), which the tests exploit: chunked generation must be
 bit-identical to whole-stream generation, and repeat runs must agree to
-the last bit.  The calibration's shared outcome table is pinned bit for bit
-to frozen copies of the per-grid-point code it replaced, and fixed-seed
-outputs are pinned by sha256 digests.
+the last bit.  The calibration's shared outcome table and the tail-only,
+early-stopping boundary search are pinned bit for bit to frozen copies of
+the code they replaced, and fixed-seed outputs are pinned by sha256
+digests.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_passes_without_avx512
+from conftest import assert_passes_without_avx512, result_and_warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -25,12 +26,14 @@ from replicalc import (
     make_grid,
     posterior_distribution,
     significance_boundary,
+    simulate,
     simulate_calibration,
     simulate_threshold_instability,
     stream_uniforms,
 )
 from replicalc.likelihood import binomial_outcome_pmf
 from replicalc.simulate import _draw_counts, _outcome_tables
+from replicalc.special import _binomial_log_pmf
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,22 @@ class TestStreamUniforms:
         """Seed 1.5 once returned seed 1's draws, and seed -1 raised an OverflowError."""
         with pytest.raises(InvalidArgumentError, match="seed must be a 64-bit unsigned integer"):
             stream_uniforms(seed, 0, 4)
+
+    @pytest.mark.parametrize("args, name", [
+        ((1, 1.5, 4), "stream_id"), ((1, -1, 4), "stream_id"), ((1, 2**64, 4), "stream_id"),
+        ((1, 0, -3), "count"), ((1, 0, 2.5), "count"), ((1, 0, 4, -4), "offset")])
+    def test_stream_count_and_offset_are_checked(self, args, name):
+        """Stream 1.5 once drew stream 1's values, stream -1 and 2^64 raised an
+        OverflowError, count -3 a ValueError, count 2.5 a TypeError, and offset
+        -4 drew from counter 2^256 - 4."""
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a"):
+            stream_uniforms(*args)
+
+    def test_key_and_size_limits_are_accepted(self):
+        """A numpy integer offset once raised an OverflowError from Philox.advance."""
+        assert stream_uniforms(1, 2**64 - 1, 4).shape == (4,)
+        assert stream_uniforms(1, np.uint64(3), 0, np.int64(8)).shape == (0,)
+        assert np.array_equal(stream_uniforms(1, 3, 4, np.int64(8)), stream_uniforms(1, 3, 12)[8:])
 
     def test_range(self):
         u = stream_uniforms(7, 2, 10000)
@@ -313,7 +332,7 @@ class TestSignificanceBoundary:
             significance_boundary(99, 0.404, 0.0)
 
     def test_non_integer_trials_rejected(self):
-        """99.5 trials once located the boundary for 99; the pmf it builds now refuses them."""
+        """99.5 trials once located the boundary for 99."""
         with pytest.raises(InvalidArgumentError, match="trials must be an integer"):
             significance_boundary(99.5, 0.404, 0.05)
 
@@ -363,3 +382,92 @@ class TestThresholdInstability:
         """Seed 1.9 once ran as seed 1, and seed -1 escaped as an OverflowError."""
         with pytest.raises(InvalidArgumentError):
             simulate_threshold_instability(0.5, trials_n, 0.404, 0.05, num_trials, seed)
+
+
+_ALPHA_NEXT_TO_ONE = 1.0 - 2.0**-53
+
+
+def _frozen_outcome_pmf(trials_n, p):
+    """The full outcome vector every step of the old search built."""
+    with np.errstate(under="ignore"):
+        return np.exp(_binomial_log_pmf(np.arange(trials_n + 1), trials_n, p))
+
+
+def _frozen_significance_boundary(trials_n, null_p, alpha):
+    """The old search: full outcome vectors, sliced, and all 80 bisection steps."""
+    tails = np.cumsum(_frozen_outcome_pmf(trials_n, null_p)[::-1])[::-1]
+    significant = np.nonzero(tails <= alpha)[0]
+    if significant.size == 0:
+        raise InvalidArgumentError("no count reaches significance at this alpha")
+    r_star = int(significant[0])
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _frozen_outcome_pmf(trials_n, mid)[r_star:].sum() < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return r_star, 0.5 * (lo + hi)
+
+
+class TestBoundarySearchBitIdentity:
+    """The tail-only search that stops once stationary gives the old bits."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(trials_n=st.one_of(st.integers(1, 10**4), st.sampled_from([1, 2, 99, 10**4])),
+           null_p=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-6),
+                            st.floats(1.0 - 1e-6, 1.0)),
+           alpha=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           st.just(_ALPHA_NEXT_TO_ONE)))
+    @example(99, 0.404, 0.05)
+    @example(10**4, 0.404, 0.05)
+    @example(1, 0.5, 0.5)  # r* = n = 1
+    @example(2, 0.5, 0.25)  # r* = n = 2
+    @example(99, 1e-300, 0.05)
+    @example(2, 2.0**-1040, _ALPHA_NEXT_TO_ONE)  # subnormal: the kernel warns
+    @example(10**4, 0.0, 0.01)
+    @example(99, 1.0, 0.05)  # no count is significant
+    @example(2, 0.03, _ALPHA_NEXT_TO_ONE)  # r* = 0: all 80 steps
+    @example(10**4, 1.0 - 1e-12, _ALPHA_NEXT_TO_ONE)  # r* = 0
+    def test_matches_frozen_search(self, trials_n, null_p, alpha):
+        args = trials_n, null_p, alpha
+        got, got_warnings = result_and_warnings(significance_boundary, *args)
+        want, want_warnings = result_and_warnings(_frozen_significance_boundary, *args)
+        assert got == want
+        # Fewer counts are evaluated, so a warning can go but none can appear.
+        assert got_warnings <= want_warnings
+
+    def test_matches_frozen_search_without_avx512(self):
+        """The explicit examples above, rerun where numpy's exp and log take
+        their AVX2 paths."""
+        assert_passes_without_avx512(
+            "from hypothesis import Phase, settings\n"
+            "settings.register_profile('explicit', phases=[Phase.explicit])\n"
+            "settings.load_profile('explicit')\n"
+            "import test_simulate as t\n"
+            "t.TestBoundarySearchBitIdentity().test_matches_frozen_search()")
+
+    @staticmethod
+    def _counted_search(monkeypatch, *args):
+        """The search's result and how many mass vectors it formed."""
+        calls = []
+        masses = simulate._outcome_masses
+
+        def counting(counts, n, p):
+            calls.append(p)
+            return masses(counts, n, p)
+
+        monkeypatch.setattr(simulate, "_outcome_masses", counting)
+        return significance_boundary(*args), len(calls)
+
+    @pytest.mark.parametrize("trials_n", [99, 10**4])
+    def test_bisection_stops_once_stationary(self, monkeypatch, trials_n):
+        """(lo, hi) stops changing after 54 steps; one more vector is the null tails."""
+        _, calls = self._counted_search(monkeypatch, trials_n, 0.404, 0.05)
+        assert calls <= 56
+
+    def test_cap_holds_when_boundary_count_is_zero(self, monkeypatch):
+        """r* = 0 halves hi toward 0 and is never stationary: all 80 steps run."""
+        (r_star, _), calls = self._counted_search(monkeypatch, 2, 0.03, _ALPHA_NEXT_TO_ONE)
+        assert r_star == 0
+        assert calls == 1 + 80
