@@ -5,6 +5,14 @@ renormalizing is simultaneously sequential updating and meta-analytic
 pooling: the product of binomial likelihoods for (r1, n1) and (r2, n2) is
 proportional to the likelihood of the summed counts, so pooling studies one
 at a time lands on the posterior of the combined data.
+
+Each product is formed only over the prior's support, the span of grid
+cells between its first and last nonzero mass; a binomial study's
+likelihood is evaluated there alone.  Outside the support the full-grid
+product is log 0 + log L = -inf, which ``exp`` turns into 0.0, so the span
+product written into a zeroed full-length array, and divided by that
+array's sum, has the bits of the full-grid one.  Pooling shrinks the
+support study by study, and each step finds the next span inside the last.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .grid_model import (
     ParameterGrid,
     uniform_distribution,
 )
-from .likelihood import GaussianModel, gaussian_likelihood_curve, likelihood_curve
+from .likelihood import GaussianModel, _likelihood_values, gaussian_likelihood_curve
 
 __all__ = [
     "StudyRecord",
@@ -50,27 +58,50 @@ class StudyRecord:
             raise InvalidArgumentError("study labels must be nonempty")
 
 
-def multiply_normalize(prior: Curve, likelihood: Curve) -> Curve:
+def multiply_normalize(
+    prior: Curve, likelihood: Curve | Observation, support: tuple[int, int] | None = None
+) -> Curve:
     """Pointwise product of prior and likelihood, renormalized to sum 1.
 
     The product is formed as a sum of logs with the maximum subtracted
     before exponentiation, so the product does not underflow; its inputs,
-    in linear scale, can (see :func:`pool_studies`).
+    in linear scale, can (see :func:`pool_studies`).  ``likelihood`` is a
+    curve on the prior's grid, or an observation whose binomial likelihood
+    is evaluated where it is needed.
+
+    Only the cells of ``support``, a span ``(lo, hi)`` outside which the
+    prior is 0, are multiplied; by default it is the span of the prior's
+    nonzero cells.  Every other cell of the product is 0.0 exactly as in a
+    full-grid product (see the module docstring), so the result's bits do
+    not depend on the span.
     """
     if prior.kind != DISTRIBUTION:
         raise InvalidArgumentError("multiply_normalize expects a distribution prior")
-    if prior.grid.points != likelihood.grid.points:
+    grid = prior.grid
+    lo, hi = _nonzero_span(prior.values, 0, grid.points) if support is None else support
+    if isinstance(likelihood, Observation):
+        span_likelihood = _likelihood_values(likelihood, grid.values[lo:hi])
+    elif grid.points != likelihood.grid.points:
         raise IncompatibleGridsError(
-            f"grids differ: {prior.grid.points} vs {likelihood.grid.points} points"
+            f"grids differ: {grid.points} vs {likelihood.grid.points} points"
         )
+    else:
+        span_likelihood = likelihood.values[lo:hi]
     with np.errstate(divide="ignore"):
-        log_product = np.log(prior.values) + np.log(likelihood.values)
+        log_product = np.log(prior.values[lo:hi]) + np.log(span_likelihood)
     peak = np.max(log_product)
     if peak == -np.inf:
         raise ContradictoryEvidenceError("prior and likelihood share no support")
+    shifted = np.zeros(grid.points)
     with np.errstate(under="ignore"):
-        shifted = np.exp(log_product - peak)
-    return Curve(grid=prior.grid, values=shifted / shifted.sum(), kind=DISTRIBUTION)
+        np.exp(log_product - peak, out=shifted[lo:hi])
+    return Curve(grid=grid, values=shifted / shifted.sum(), kind=DISTRIBUTION)
+
+
+def _nonzero_span(values: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The span from the first to past the last nonzero of ``values[lo:hi]``."""
+    nonzero = np.flatnonzero(values[lo:hi])
+    return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
 
 
 def pool_studies(studies, grid: ParameterGrid) -> Curve:
@@ -81,13 +112,19 @@ def pool_studies(studies, grid: ParameterGrid) -> Curve:
     telescopes.  Not when studies disagree strongly: each curve is 0 far
     from its peak, so on 10001 points 4116/17069 with 53/4602 lands 0.114
     away, and 0/2000 with 2000/2000 raises ContradictoryEvidenceError.
+
+    Each study's likelihood is evaluated only on the support of the
+    posterior so far, and the next support is found inside it; the result
+    has the bits of full-grid products (see :func:`multiply_normalize`).
     """
     studies = list(studies)
     if not studies:
         raise InvalidArgumentError("pool_studies needs at least one study")
     current = uniform_distribution(grid)
+    support = (0, grid.points)
     for study in studies:
-        current = multiply_normalize(current, likelihood_curve(study.observation, grid))
+        current = multiply_normalize(current, study.observation, support)
+        support = _nonzero_span(current.values, *support)
     return current
 
 

@@ -89,22 +89,23 @@ def binomial_outcome_pmf(trials: int, p: float) -> np.ndarray:
     return _outcome_masses(np.arange(n + 1), n, p)
 
 
-def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
-    """Binomial likelihood of the observation at every grid point.
+def _likelihood_values(obs: Observation, p: np.ndarray) -> np.ndarray:
+    """Binomial likelihood of the observation at ``p``, a contiguous run of
+    grid values (ascending), as a new array.
 
-    A grid of more than ``_ONE_CALL_MAX`` points is filled block by block,
+    A run of more than ``_ONE_CALL_MAX`` points is filled block by block,
     so the kernel's temporaries stay cache-sized.  The log mass is concave
     in p with its maximum at r/n, so a block peaks at its point nearest
     r/n; one kernel call evaluates those peaks first, and a block whose
     peak is below ``_ZERO_LOG`` is left at 0.0.  The result is
-    bit-identical to one call over the whole grid: the kernel is
-    elementwise, and a skipped block's values exceed its peak by at most
-    twice the kernel's absolute error (about 1e-11 at n = 10^5), so they
-    lie far below -745.13, under which ``exp`` already gives 0.0.
+    bit-identical to one call over the whole run, wherever the run starts:
+    the kernel is elementwise, and a skipped block's values exceed its peak
+    by at most twice the kernel's absolute error (about 1e-11 at n = 10^5),
+    so they lie far below -745.13, under which ``exp`` already gives 0.0.
     """
-    r, n, p = obs.successes, obs.trials, grid.values
+    r, n = obs.successes, obs.trials
     if p.size <= _ONE_CALL_MAX:
-        return Curve(grid=grid, values=_outcome_masses(r, n, p), kind=LIKELIHOOD)
+        return _outcome_masses(r, n, p)
     starts = np.arange(0, p.size, _BLOCK)
     stops = np.minimum(starts + _BLOCK, p.size)
     peaks = _binomial_log_pmf(r, n, np.clip(r / n, p[starts], p[stops - 1]))
@@ -112,7 +113,13 @@ def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
     for start, stop, peak in zip(starts, stops, peaks):
         if peak >= _ZERO_LOG:
             _outcome_masses(r, n, p[start:stop], out=values[start:stop])
-    return Curve(grid=grid, values=values, kind=LIKELIHOOD)
+    return values
+
+
+def likelihood_curve(obs: Observation, grid: ParameterGrid) -> Curve:
+    """Binomial likelihood of the observation at every grid point (see
+    :func:`_likelihood_values` for how large grids are filled)."""
+    return Curve(grid=grid, values=_likelihood_values(obs, grid.values), kind=LIKELIHOOD)
 
 
 def gaussian_likelihood_curve(model: GaussianModel, grid: ParameterGrid) -> Curve:

@@ -119,6 +119,9 @@ def _binomial_log_pmf(x, n: int, p):
     order, so an entry's bits do not depend on the shapes around it (a
     table row equals the pmf at that p alone).  Degenerate p is exact through
     log 0 = -inf: every impossible outcome gets -inf and the possible one 0.
+    A subnormal p can overflow x/(n p) to +inf in a deviance term; the
+    entry's log mass is then -inf, and its true mass is below the smallest
+    normal double, so that overflow is silent too.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     # + 0.0 turns p = -0.0 into +0.0 and leaves every other value unchanged;
@@ -127,7 +130,7 @@ def _binomial_log_pmf(x, n: int, p):
     lo = x_arr == 0.0
     hi = x_arr == float(n)
     mid = ~(lo | hi)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if np.any(mid):
             # Edge counts take the placeholder 1, finite in every term below
             # (mid is nonempty only for n >= 2), and are overwritten after.

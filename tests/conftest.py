@@ -52,7 +52,7 @@ def result_and_warnings(func, *args):
     """``repr`` of what ``func(*args)`` returns, or the message of the
     ``InvalidArgumentError`` it raises, and the distinct warnings it gives.
 
-    A subnormal p overflows x/m in the kernel's deviance term, which warns.
+    A subnormal p overflows x/m in the kernel's deviance term, silently.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

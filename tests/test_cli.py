@@ -416,6 +416,18 @@ class TestOutputHandling:
             assert bad.returncode == 2, module
             assert "Traceback" not in bad.stderr, module
 
+    @pytest.mark.parametrize("argv", [
+        "compare --successes 1 --trials 10000 --null 1e-310",
+        "simulate --mode instability --trials-n 2 --num-trials 100 --seed 1 "
+        "--significance-null 1e-310 --significance-alpha 0.9 --locate-boundary",
+    ])
+    def test_subnormal_null_leaves_stderr_empty(self, argv):
+        """A subnormal null once printed numpy's overflow warning on stderr."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        script = subprocess.run([sys.executable, "-m", "replicalc.cli", *argv.split()],
+                                capture_output=True, text=True, env=env)
+        assert (script.returncode, script.stderr) == (0, "")
+
     def test_installed_entry_points(self):
         """Both the console script and python -m invocation work."""
         expected = subprocess.run(

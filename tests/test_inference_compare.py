@@ -108,7 +108,7 @@ class TestExactPValueBitIdentity:
     @example(Observation(0, 10**4), 0.404, AT_OR_BELOW)
     @example(Observation(10**4, 10**4), 0.404, AT_OR_ABOVE)
     @example(Observation(4122, 10**4), 0.404, AT_OR_ABOVE)
-    @example(Observation(1, 10**4), 2.0**-1040, AT_OR_BELOW)  # subnormal: the kernel warns
+    @example(Observation(1, 10**4), 2.0**-1040, AT_OR_BELOW)  # subnormal: x/m overflows, silently
     def test_matches_frozen_slice_sum(self, obs, null_p, direction):
         args = obs, null_p, direction
         got, got_warnings = result_and_warnings(exact_binomial_p_value, *args)

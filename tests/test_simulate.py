@@ -424,7 +424,7 @@ class TestBoundarySearchBitIdentity:
     @example(1, 0.5, 0.5)  # r* = n = 1
     @example(2, 0.5, 0.25)  # r* = n = 2
     @example(99, 1e-300, 0.05)
-    @example(2, 2.0**-1040, _ALPHA_NEXT_TO_ONE)  # subnormal: the kernel warns
+    @example(2, 2.0**-1040, _ALPHA_NEXT_TO_ONE)  # subnormal: x/m overflows, silently
     @example(10**4, 0.0, 0.01)
     @example(99, 1.0, 0.05)  # no count is significant
     @example(2, 0.03, _ALPHA_NEXT_TO_ONE)  # r* = 0: all 80 steps

@@ -261,6 +261,13 @@ class TestDegenerateP:
         assert binomial_pmf(5, 10, -0.0) == 0.0
         assert binomial_pmf(0, 10, -0.0) == 1.0
 
+    def test_subnormal_p_overflow_is_silent(self):
+        """x/(n p) overflows to inf for subnormal p, which once warned; the
+        suite turns a RuntimeWarning into an error, so this call must not warn."""
+        masses = binomial_outcome_pmf(10**4, 1e-310)
+        assert masses[0] == 1.0
+        assert np.all(np.isfinite(masses)) and masses.sum() == 1.0
+
 
 class TestErfc:
     """Rational-approximation erfc against scipy across all three regimes."""
