@@ -12,7 +12,7 @@ likelihood is evaluated there alone.  Outside the support the full-grid
 product is log 0 + log L = -inf, which ``exp`` turns into 0.0, so the span
 product written into a zeroed full-length array, and divided by that
 array's sum, has the bits of the full-grid one.  Pooling shrinks the
-support study by study, and each step finds the next span inside the last.
+support study by study, so later studies are evaluated on fewer cells.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ class StudyRecord:
             raise InvalidArgumentError("study labels must be nonempty")
 
 
-def multiply_normalize(
-    prior: Curve, likelihood: Curve | Observation, support: tuple[int, int] | None = None
-) -> Curve:
+def multiply_normalize(prior: Curve, likelihood: Curve | Observation) -> Curve:
     """Pointwise product of prior and likelihood, renormalized to sum 1.
 
     The product is formed as a sum of logs with the maximum subtracted
@@ -69,16 +67,17 @@ def multiply_normalize(
     curve on the prior's grid, or an observation whose binomial likelihood
     is evaluated where it is needed.
 
-    Only the cells of ``support``, a span ``(lo, hi)`` outside which the
-    prior is 0, are multiplied; by default it is the span of the prior's
-    nonzero cells.  Every other cell of the product is 0.0 exactly as in a
-    full-grid product (see the module docstring), so the result's bits do
-    not depend on the span.
+    Only the prior's support, the span of its nonzero cells, is
+    multiplied.  Every other cell of the product is 0.0 exactly as in a
+    full-grid product (see the module docstring), so the result has the
+    full-grid bits.
     """
     if prior.kind != DISTRIBUTION:
         raise InvalidArgumentError("multiply_normalize expects a distribution prior")
     grid = prior.grid
-    lo, hi = _nonzero_span(prior.values, 0, grid.points) if support is None else support
+    # argmax stops at the first True; flatnonzero would list every cell.
+    nonzero = prior.values != 0
+    lo, hi = int(np.argmax(nonzero)), grid.points - int(np.argmax(nonzero[::-1]))
     if isinstance(likelihood, Observation):
         span_likelihood = _likelihood_values(likelihood, grid.values[lo:hi])
     elif grid.points != likelihood.grid.points:
@@ -98,12 +97,6 @@ def multiply_normalize(
     return Curve(grid=grid, values=shifted / shifted.sum(), kind=DISTRIBUTION)
 
 
-def _nonzero_span(values: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """The span from the first to past the last nonzero of ``values[lo:hi]``."""
-    nonzero = np.flatnonzero(values[lo:hi])
-    return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
-
-
 def pool_studies(studies, grid: ParameterGrid) -> Curve:
     """Sequentially update a uniform prior with each study's likelihood.
 
@@ -114,17 +107,15 @@ def pool_studies(studies, grid: ParameterGrid) -> Curve:
     away, and 0/2000 with 2000/2000 raises ContradictoryEvidenceError.
 
     Each study's likelihood is evaluated only on the support of the
-    posterior so far, and the next support is found inside it; the result
-    has the bits of full-grid products (see :func:`multiply_normalize`).
+    posterior so far; the result has the bits of full-grid products (see
+    :func:`multiply_normalize`).
     """
     studies = list(studies)
     if not studies:
         raise InvalidArgumentError("pool_studies needs at least one study")
     current = uniform_distribution(grid)
-    support = (0, grid.points)
     for study in studies:
-        current = multiply_normalize(current, study.observation, support)
-        support = _nonzero_span(current.values, *support)
+        current = multiply_normalize(current, study.observation)
     return current
 
 

@@ -312,6 +312,19 @@ class TestSupportPoolingBitIdentity:
         _assert_same_outcome(_outcome(multiply_normalize, prior, likelihood_curve(obs, grid)), want)
         _assert_same_outcome(_outcome(multiply_normalize, prior, obs), want)
 
+    @pytest.mark.parametrize("cells", [[0], [100], [0, 100], [3, 4, 50]])
+    def test_support_at_the_grid_ends(self, cells):
+        """A prior whose support starts at the first cell or stops at the
+        last one, or is a single cell there, keeps the full-grid bits."""
+        grid = make_grid(101)
+        values = np.zeros(grid.points)
+        values[cells] = 1.0 / len(cells)
+        prior = Curve(grid, values, DISTRIBUTION)
+        for obs in (Observation(0, 10), Observation(10, 10), Observation(4, 10)):
+            _assert_same_outcome(
+                _outcome(multiply_normalize, prior, obs),
+                _outcome(_frozen_multiply_normalize, prior, likelihood_curve(obs, grid)))
+
     def test_matches_frozen_full_grid_code_without_avx512(self):
         """The explicit examples above, rerun where numpy's exp and log take
         their AVX2 paths."""
